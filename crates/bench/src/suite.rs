@@ -10,6 +10,10 @@
 //! * `canonical/schemes/*` — per-write plan construction for the encoding
 //!   schemes with real planning work (PALP's slot packing, WIRE's coset
 //!   row search); the controller calls these on every serviced write.
+//! * `canonical/content/*` — write-content synthesis
+//!   (`ProfileContent::generate`) for the write-heavy vips and read-heavy
+//!   canneal profiles, over a set of lines that keep evolving, so the
+//!   densities and the fresh/in-place mix match a simulated run.
 //! * `canonical/telemetry/*` — per-event sink dispatch cost (the "tracing
 //!   off costs nothing" claim).
 //! * `canonical/writecache/*` — the DRAM write-cache tier's per-store
@@ -92,6 +96,36 @@ pub fn canonical_suite(c: &mut Criterion, quick: bool) {
         g.bench_function("wire_plan", |b| {
             b.iter(|| black_box(WireWrite.plan(black_box(&ctx))))
         });
+        g.finish();
+    }
+
+    // --- write-content synthesis over evolving lines --------------------
+    {
+        use pcm_memsim::WriteContent;
+        use pcm_types::rng::SplitMix64;
+        use pcm_types::LineData;
+        use pcm_workloads::ProfileContent;
+        const LINES: usize = 256;
+        let mut g = c.benchmark_group("canonical/content");
+        g.sample_size(micro_samples);
+        for name in ["vips", "canneal"] {
+            let p = WorkloadProfile::by_name(name).expect("profile exists");
+            g.bench_function(format!("profile_generate_{name}"), |b| {
+                // Initialize a set of lines, then rewrite them in a fixed
+                // pseudo-random order: densities drift as in a real run,
+                // and fresh replacements mix with in-place updates.
+                let mut m = ProfileContent::new(p, 3);
+                let mut lines = vec![LineData::zeroed(64); LINES];
+                for line in &mut lines {
+                    *line = m.generate(0, line);
+                }
+                let mut pick = SplitMix64::new(3);
+                b.iter(|| {
+                    let i = (pick.next_u64() % LINES as u64) as usize;
+                    lines[i] = m.generate(0, black_box(&lines[i]));
+                })
+            });
+        }
         g.finish();
     }
 

@@ -309,6 +309,15 @@ mod tests {
     /// decisions, and the regression gate must hold on the write-heaviest
     /// workload (the acceptance criterion the CI job enforces at --quick
     /// scale).
+    ///
+    /// The spread check depends on the write-content stream. At this
+    /// point (seed 0xC0FFEE, 120k instructions/core) the spread goes
+    /// 17.70 → 18.19 pp, +0.49 pp against the +0.5 pp tolerance. Over
+    /// seeds {0xC0FFEE, 1..=6} × {120k, 240k, 480k} instructions/core the
+    /// same check fails at 8 of 21 points (mean delta +0.37 pp). A
+    /// content sampler that draws a different stream, such as one keyed
+    /// on (line, write version) for paired cross-scheme runs, can flip
+    /// this test without any change to the scheduler.
     #[test]
     fn vips_ablation_adaptive_not_worse() {
         let p = &ALL_PROFILES[7]; // vips

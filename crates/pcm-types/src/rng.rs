@@ -15,7 +15,10 @@
 //! the dependency out left call sites almost untouched. Both generators
 //! are deterministic: the same seed always produces the same stream, on
 //! every platform, forever — a hard requirement for reproducible
-//! simulation traces.
+//! simulation traces. Speed-ups to the sampling helpers keep that
+//! contract draw for draw: a faster `gen_range` consumes exactly the raw
+//! outputs the previous one did and returns the same values, which the
+//! tests below check against the reference loop.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -131,14 +134,43 @@ pub trait SampleUniform: Copy + PartialOrd {
 
 /// Draw a `u64` uniformly from `[0, span]` by rejection sampling
 /// (unbiased; expected retries < 1 for any span).
+///
+/// A raw draw `v` is kept, as `v % n` with `n = span + 1`, exactly when
+/// it lies below the largest multiple of `n` in `[0, 2^64)`, i.e. when
+/// `v < 2^64 − (2^64 mod n)`. Since `2^64 mod n ≤ span`, every
+/// `v ≤ u64::MAX − span` passes without knowing the remainder, so the
+/// two divides that compute `2^64 mod n` only run for draws among the
+/// top `span` values — rarely, for the small spans the simulator uses.
+///
+/// This is a draw-for-draw contract: for every span, the same raw
+/// draws are consumed and the same value returned as by the direct
+/// rejection loop, so simulated results depend only on the seed.
 #[inline]
 fn uniform_u64_to<R: Rng + ?Sized>(rng: &mut R, span: u64) -> u64 {
     if span == u64::MAX {
         return rng.next_u64();
     }
     let n = span + 1;
-    // Reject raw draws above the largest multiple of n, so `% n` is exact.
-    let rem = (u64::MAX % n + 1) % n; // 2^64 mod n
+    loop {
+        let v = rng.next_u64();
+        if v <= u64::MAX - span {
+            return v % n;
+        }
+        let rem = (u64::MAX % n + 1) % n; // 2^64 mod n
+        if rem == 0 || v < u64::MAX - rem + 1 {
+            return v % n;
+        }
+    }
+}
+
+/// The direct rejection loop [`uniform_u64_to`] must match draw for draw.
+#[cfg(test)]
+fn uniform_u64_to_reference<R: Rng + ?Sized>(rng: &mut R, span: u64) -> u64 {
+    if span == u64::MAX {
+        return rng.next_u64();
+    }
+    let n = span + 1;
+    let rem = (u64::MAX % n + 1) % n;
     loop {
         let v = rng.next_u64();
         if rem == 0 || v < u64::MAX - rem + 1 {
@@ -256,6 +288,8 @@ impl<R: Rng + ?Sized> Rng for &mut R {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::propcheck::{any_u64, one_of, PropResult};
+    use crate::{prop_assert_eq, propcheck};
 
     #[test]
     fn splitmix_reference_vector() {
@@ -357,6 +391,65 @@ mod tests {
         assert!((19_000..21_000).contains(&hits), "{hits}");
         assert_eq!((0..100).filter(|_| r.gen_bool(0.0)).count(), 0);
         assert_eq!((0..100).filter(|_| r.gen_bool(1.0)).count(), 100);
+    }
+
+    /// Run the fast and reference samplers from the same state; both the
+    /// value and the generator position afterwards must agree.
+    fn same_draws(seed: u64, span: u64) -> PropResult {
+        let mut fast = SmallRng::seed_from_u64(seed);
+        let mut slow = fast.clone();
+        for _ in 0..8 {
+            prop_assert_eq!(
+                uniform_u64_to(&mut fast, span),
+                uniform_u64_to_reference(&mut slow, span)
+            );
+        }
+        prop_assert_eq!(fast.next_u64(), slow.next_u64());
+        Ok(())
+    }
+
+    propcheck! {
+        cases = 512;
+        fn uniform_matches_reference_small_n(seed in any_u64(), n in 1u64..=64) {
+            same_draws(seed, n - 1)?;
+        }
+
+        fn uniform_matches_reference_any_span(seed in any_u64(), span in any_u64()) {
+            same_draws(seed, span)?;
+        }
+
+        /// Spans near the top of the range, where the remainder is large
+        /// and draws often take the slow branch and get rejected:
+        /// n = 2^63 + 1 has 2^64 mod n = 2^63 − 1.
+        fn uniform_matches_reference_wide_spans(
+            seed in any_u64(),
+            span in one_of(&[
+                1u64 << 63,
+                (1u64 << 63) + 1,
+                (1u64 << 63) - 1,
+                u64::MAX - 1,
+                u64::MAX - 2,
+                u64::MAX,
+                (u64::MAX / 3) * 2,
+            ]),
+        ) {
+            same_draws(seed, span)?;
+        }
+
+        /// Powers of two (remainder 0) and their neighbours.
+        fn uniform_matches_reference_powers_of_two(
+            seed in any_u64(),
+            k in 0u32..=63,
+            side in 0u8..=2,
+        ) {
+            let n = 1u64 << k;
+            let n = match side {
+                0 => n,
+                1 => n + 1,
+                _ => (n - 1).max(1),
+            };
+            same_draws(seed, n - 1)?;
+        }
     }
 
     #[test]

@@ -30,12 +30,12 @@ const INIT_ONES_PER_UNIT: u32 = 16;
 /// Hard cap on changed bits per unit (stays below the flip threshold).
 const MAX_CHANGED_PER_UNIT: u32 = 30;
 
-/// Knuth's Poisson sampler (fine for the small means used here).
-fn poisson<R: Rng>(rng: &mut R, mean: f64) -> u32 {
-    if mean <= 0.0 {
+/// Knuth's Poisson sampler (fine for the small means used here), given
+/// its threshold `l = e^-mean`; [`NO_DRAW`] returns 0 without drawing.
+fn poisson<R: Rng>(rng: &mut R, l: f64) -> u32 {
+    if l == NO_DRAW {
         return 0;
     }
-    let l = (-mean).exp();
     let mut k = 0u32;
     let mut p = 1.0;
     loop {
@@ -50,7 +50,25 @@ fn poisson<R: Rng>(rng: &mut R, mean: f64) -> u32 {
     }
 }
 
+/// Threshold standing for a non-positive mean: such a unit gets no
+/// transitions of that kind and consumes no draw.
+const NO_DRAW: f64 = f64::INFINITY;
+
+/// [`poisson`]'s threshold for `mean`.
+fn poisson_threshold(mean: f64) -> f64 {
+    if mean <= 0.0 {
+        NO_DRAW
+    } else {
+        (-mean).exp()
+    }
+}
+
 /// Pick `n` distinct set bits of `mask` uniformly; returns the chosen mask.
+///
+/// Reservoir sampling over the mask's set bits, lowest first: each is
+/// taken with probability `need / remaining`, one
+/// `gen_range(0..remaining)` draw per scanned bit, stopping once `need`
+/// bits are taken. The loop body is branch-free.
 fn pick_bits<R: Rng>(rng: &mut R, mask: u64, n: u32) -> u64 {
     let avail = mask.count_ones();
     let n = n.min(avail);
@@ -60,24 +78,18 @@ fn pick_bits<R: Rng>(rng: &mut R, mask: u64, n: u32) -> u64 {
     if n == avail {
         return mask;
     }
-    // Reservoir-sample positions out of the mask.
     let mut chosen = 0u64;
-    let mut seen = 0u32;
     let mut m = mask;
     let mut need = n;
-    while m != 0 {
+    let mut remaining = avail;
+    // need ≤ remaining throughout, so the mask never runs dry first.
+    while need != 0 {
         let low = m & m.wrapping_neg();
-        m &= !low;
-        seen += 1;
-        let remaining_positions = avail - seen + 1;
-        // Probability need/remaining of taking this position.
-        if rng.gen_range(0..remaining_positions) < need {
-            chosen |= low;
-            need -= 1;
-            if need == 0 {
-                break;
-            }
-        }
+        m ^= low;
+        let take = u32::from(rng.gen_range(0..remaining) < need);
+        chosen |= low & u64::from(take).wrapping_neg();
+        need -= take;
+        remaining -= 1;
     }
     chosen
 }
@@ -86,13 +98,16 @@ fn pick_bits<R: Rng>(rng: &mut R, mask: u64, n: u32) -> u64 {
 /// (uniform 24..=30).
 const FRESH_TOTAL_MEAN: f64 = 27.0;
 
+/// Per-line intensity multipliers, indexed by [`ProfileContent::intensity`].
+const INTENSITIES: [f64; 3] = [0.5, 1.0, 2.0];
+
 /// Write-content generator for one workload profile.
 #[derive(Debug)]
 pub struct ProfileContent {
-    /// In-place-update means, compensated so that mixing with
+    /// Poisson thresholds `[SET, RESET]` per intensity, from the
+    /// in-place-update means, compensated so that mixing with
     /// `fresh_fraction` fresh writes reproduces the profile's Fig. 3 means.
-    set_mean: f64,
-    reset_mean: f64,
+    thresholds: [[f64; 2]; 3],
     /// SET share of a fresh write's changed bits.
     set_ratio: f64,
     fresh_fraction: f64,
@@ -110,8 +125,12 @@ impl ProfileContent {
         let base_set = ((profile.set_mean - p * fresh_sets) / (1.0 - p)).max(0.0);
         let base_reset = ((profile.reset_mean - p * fresh_resets) / (1.0 - p)).max(0.0);
         ProfileContent {
-            set_mean: base_set,
-            reset_mean: base_reset,
+            thresholds: INTENSITIES.map(|x| {
+                [
+                    poisson_threshold(base_set * x),
+                    poisson_threshold(base_reset * x),
+                ]
+            }),
             set_ratio: ratio,
             fresh_fraction: p,
             rng: SmallRng::seed_from_u64(seed ^ 0x7e7_215),
@@ -138,35 +157,36 @@ impl ProfileContent {
         out
     }
 
-    /// Draw a per-line intensity multiplier with mean exactly 1.
+    /// Draw a per-line intensity multiplier with mean exactly 1, as an
+    /// index into [`INTENSITIES`].
     ///
     /// Real write-back traffic is bursty: some lines change a few bits,
     /// some change many. Per-unit Poisson alone is too narrow to ever
     /// produce the >1-write-unit lines behind the paper's Fig. 10 range
     /// (Tetris 1.06–1.46); the {½, 1, 2} mixture (w.p. ⅓, ½, ⅙) widens the
     /// per-line distribution without moving the Fig. 3 means.
-    fn intensity(&mut self) -> f64 {
+    fn intensity(&mut self) -> usize {
         let u: f64 = self.rng.gen();
         if u < 1.0 / 3.0 {
-            0.5
+            0
         } else if u < 1.0 / 3.0 + 0.5 {
-            1.0
+            1
         } else {
-            2.0
+            2
         }
     }
 
     /// Mutate one unit per the calibrated delta distribution.
-    fn mutate_unit(&mut self, old: u64, intensity: f64) -> u64 {
-        let ones = old.count_ones();
+    fn mutate_unit(&mut self, old: u64, intensity: usize) -> u64 {
+        let [set_l, reset_l] = self.thresholds[intensity];
         // Density guard: reverse the drift for near-saturated units.
-        let (sm, rm) = if ones > DENSITY_GUARD {
-            (self.reset_mean, self.set_mean)
+        let (sl, rl) = if old.count_ones() > DENSITY_GUARD {
+            (reset_l, set_l)
         } else {
-            (self.set_mean, self.reset_mean)
+            (set_l, reset_l)
         };
-        let mut n_set = poisson(&mut self.rng, sm * intensity);
-        let mut n_reset = poisson(&mut self.rng, rm * intensity);
+        let mut n_set = poisson(&mut self.rng, sl);
+        let mut n_reset = poisson(&mut self.rng, rl);
         // Keep below the flip threshold so the realized demand equals the
         // sampled counts.
         while n_set + n_reset > MAX_CHANGED_PER_UNIT {
@@ -208,18 +228,132 @@ impl WriteContent for ProfileContent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiles::ALL_PROFILES;
+    use crate::profiles::{WorkloadProfile, ALL_PROFILES};
+    use pcm_types::propcheck::{any_u64, one_of, PropResult};
     use pcm_types::rng::StdRng;
-    use pcm_types::transitions;
+    use pcm_types::{prop_assert_eq, propcheck, transitions};
+
+    /// The direct Poisson loop [`poisson`] must match draw for draw.
+    fn poisson_reference<R: Rng>(rng: &mut R, mean: f64) -> u32 {
+        if mean <= 0.0 {
+            return 0;
+        }
+        let l = (-mean).exp();
+        let mut k = 0u32;
+        let mut p = 1.0;
+        loop {
+            p *= rng.gen::<f64>();
+            if p <= l {
+                return k;
+            }
+            k += 1;
+            if k > 200 {
+                return k;
+            }
+        }
+    }
+
+    /// The branching reservoir loop [`pick_bits`] must match draw for draw.
+    fn pick_bits_reference<R: Rng>(rng: &mut R, mask: u64, n: u32) -> u64 {
+        let avail = mask.count_ones();
+        let n = n.min(avail);
+        if n == 0 {
+            return 0;
+        }
+        if n == avail {
+            return mask;
+        }
+        let mut chosen = 0u64;
+        let mut seen = 0u32;
+        let mut m = mask;
+        let mut need = n;
+        while m != 0 {
+            let low = m & m.wrapping_neg();
+            m &= !low;
+            seen += 1;
+            let remaining_positions = avail - seen + 1;
+            if rng.gen_range(0..remaining_positions) < need {
+                chosen |= low;
+                need -= 1;
+                if need == 0 {
+                    break;
+                }
+            }
+        }
+        chosen
+    }
+
+    /// Fast and reference `pick_bits` from the same state: same value,
+    /// same generator position afterwards.
+    fn same_picks(seed: u64, mask: u64, n: u32) -> PropResult {
+        let mut fast = StdRng::seed_from_u64(seed);
+        let mut slow = fast.clone();
+        prop_assert_eq!(
+            pick_bits(&mut fast, mask, n),
+            pick_bits_reference(&mut slow, mask, n)
+        );
+        prop_assert_eq!(fast.next_u64(), slow.next_u64());
+        Ok(())
+    }
+
+    /// Fast and reference Poisson draws from the same state.
+    fn same_poisson(seed: u64, mean: f64) -> PropResult {
+        let mut fast = StdRng::seed_from_u64(seed);
+        let mut slow = fast.clone();
+        for _ in 0..4 {
+            prop_assert_eq!(
+                poisson(&mut fast, poisson_threshold(mean)),
+                poisson_reference(&mut slow, mean)
+            );
+        }
+        prop_assert_eq!(fast.next_u64(), slow.next_u64());
+        Ok(())
+    }
+
+    propcheck! {
+        cases = 1024;
+        fn pick_bits_matches_reference(seed in any_u64(), mask in any_u64(), n in 0u32..=70) {
+            same_picks(seed, mask, n)?;
+        }
+
+        /// Empty and full masks, and requests at or above the popcount
+        /// (which return early without drawing).
+        fn pick_bits_matches_reference_edges(
+            seed in any_u64(),
+            mask in one_of(&[0u64, u64::MAX, 1, 1 << 63, 0x8000_0000_0000_0001]),
+            n in 0u32..=70,
+        ) {
+            same_picks(seed, mask, n)?;
+        }
+
+        /// Means on a fine grid up to twice the heaviest profile's, scaled
+        /// by each intensity as the model scales them.
+        fn poisson_matches_reference(
+            seed in any_u64(),
+            centi in 0u32..=4_000,
+            intensity in 0usize..3,
+        ) {
+            same_poisson(seed, centi as f64 / 100.0 * INTENSITIES[intensity])?;
+        }
+
+        /// Zero, negative, tiny (threshold rounds to 1.0) and huge means.
+        fn poisson_matches_reference_edges(
+            seed in any_u64(),
+            mean in one_of(&[0.0, -0.0, -1.0, 1e-300, 1e-17, 700.0, 1e6]),
+        ) {
+            same_poisson(seed, mean)?;
+        }
+    }
 
     #[test]
     fn poisson_mean_tracks() {
         let mut rng = StdRng::seed_from_u64(5);
         let n = 20_000;
-        let total: u64 = (0..n).map(|_| poisson(&mut rng, 6.7) as u64).sum();
+        let l = poisson_threshold(6.7);
+        let total: u64 = (0..n).map(|_| poisson(&mut rng, l) as u64).sum();
         let mean = total as f64 / n as f64;
         assert!((mean - 6.7).abs() < 0.15, "poisson mean {mean}");
-        assert_eq!(poisson(&mut rng, 0.0), 0);
+        assert_eq!(poisson(&mut rng, poisson_threshold(0.0)), 0);
     }
 
     #[test]
@@ -291,6 +425,44 @@ mod tests {
             }
             line = new;
         }
+    }
+
+    /// FNV-1a over the bytes of `writes` successive `generate` outputs,
+    /// each rewriting one of `lines` lines (all zero at first, so the
+    /// stream covers first touch, fresh replacement and in-place drift).
+    /// A fixed SplitMix64 picks the line, independently of the model.
+    fn stream_fingerprint(profile: &str, seed: u64, lines: usize, writes: usize) -> u64 {
+        let p = WorkloadProfile::by_name(profile).expect("profile exists");
+        let mut m = ProfileContent::new(p, seed);
+        let mut mem = vec![LineData::zeroed(64); lines];
+        let mut pick = pcm_types::rng::SplitMix64::new(seed);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for _ in 0..writes {
+            let i = (pick.next_u64() % lines as u64) as usize;
+            mem[i] = m.generate(0, &mem[i]);
+            for &b in mem[i].as_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The content stream is part of the reproducibility contract: every
+    /// simulated SET/RESET count downstream depends on it. A speed-only
+    /// change must leave these values alone; a change that alters the
+    /// stream on purpose updates them and says so.
+    #[test]
+    fn content_stream_golden() {
+        assert_eq!(
+            stream_fingerprint("vips", 0xC0FFEE, 256, 10_000),
+            0x3af1_3aa3_7ed3_0b5c,
+            "vips content stream changed"
+        );
+        assert_eq!(
+            stream_fingerprint("canneal", 0xC0FFEE, 256, 10_000),
+            0x5469_d519_5bfa_ddb6,
+            "canneal content stream changed"
+        );
     }
 
     #[test]
