@@ -6,13 +6,13 @@ use pcm_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pcm_workloads::{WorkloadProfile, ALL_PROFILES};
 use std::hint::black_box;
 use tetris_experiments::figures::{self, MatrixView};
-use tetris_experiments::{run_matrix, run_one, SchemeKind};
+use tetris_experiments::{run_matrix, run_one, SchemeSelect};
 
 fn bench(c: &mut Criterion) {
     let cfg = quick_run_config();
     // Regenerate Figs. 11–14 on the quick sizing.
-    let results = run_matrix(&ALL_PROFILES, &SchemeKind::COMPARED, &cfg);
-    let m = MatrixView::new(&results, &ALL_PROFILES, &SchemeKind::COMPARED);
+    let results = run_matrix(&ALL_PROFILES, &SchemeSelect::COMPARED, &cfg);
+    let m = MatrixView::new(&results, &ALL_PROFILES, &SchemeSelect::COMPARED);
     eprintln!("{}", figures::fig11(&m));
     eprintln!("{}", figures::fig12(&m));
     eprintln!("{}", figures::fig13(&m));
@@ -21,7 +21,7 @@ fn bench(c: &mut Criterion) {
     let p = WorkloadProfile::by_name("ferret").unwrap();
     let mut g = c.benchmark_group("system_sim_ferret_100k");
     g.sample_size(10);
-    for kind in SchemeKind::COMPARED {
+    for kind in SchemeSelect::COMPARED {
         g.bench_with_input(
             BenchmarkId::from_parameter(kind.short()),
             &kind,

@@ -6,12 +6,12 @@ use pcm_memsim::SystemConfig;
 use pcm_workloads::ALL_PROFILES;
 use std::hint::black_box;
 use tetris_experiments::figures::{self, MatrixView};
-use tetris_experiments::{run_matrix, SchemeKind};
+use tetris_experiments::{run_matrix, SchemeSelect};
 
 fn bench(c: &mut Criterion) {
     let cfg = quick_run_config();
-    let results = run_matrix(&ALL_PROFILES, &SchemeKind::COMPARED, &cfg);
-    let m = MatrixView::new(&results, &ALL_PROFILES, &SchemeKind::COMPARED);
+    let results = run_matrix(&ALL_PROFILES, &SchemeSelect::COMPARED, &cfg);
+    let m = MatrixView::new(&results, &ALL_PROFILES, &SchemeSelect::COMPARED);
     eprintln!("{}", figures::table1(&m));
     eprintln!("{}", figures::table2(&SystemConfig::paper_baseline()));
     eprintln!("{}", figures::table3(Some(&m)));

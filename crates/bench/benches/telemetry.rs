@@ -10,7 +10,7 @@ use pcm_telemetry::{
 use pcm_types::Ps;
 use pcm_workloads::WorkloadProfile;
 use std::hint::black_box;
-use tetris_experiments::{run_one, run_one_traced, RunConfig, SchemeKind};
+use tetris_experiments::{run_one, run_one_traced, RunConfig, SchemeSelect};
 
 fn bench(c: &mut Criterion) {
     let cfg = RunConfig::builder()
@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     // Baseline: the default path, NullSink behind the scenes.
     g.bench_function("null_sink", |b| {
-        b.iter(|| black_box(run_one(p, SchemeKind::Tetris, &cfg)))
+        b.iter(|| black_box(run_one(p, SchemeSelect::Tetris, &cfg)))
     });
     // Every event recorded in memory (upper bound on tracing overhead
     // without disk I/O in the loop).
@@ -31,7 +31,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             black_box(run_one_traced(
                 p,
-                SchemeKind::Tetris,
+                SchemeSelect::Tetris,
                 &cfg,
                 Box::new(MemorySink::with_detail(TraceDetail::Fine)),
             ))
@@ -46,7 +46,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             black_box(run_one_traced(
                 p,
-                SchemeKind::Tetris,
+                SchemeSelect::Tetris,
                 &cfg,
                 Box::new(w.rank_sink(0)),
             ))

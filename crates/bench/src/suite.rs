@@ -35,7 +35,7 @@ use pcm_telemetry::{MemorySink, NullSink, OpKind, Telemetry, TelemetryEvent};
 use pcm_types::{flip_encode, transitions, LineDemand, Ps, UnitDemand};
 use pcm_workloads::WorkloadProfile;
 use std::hint::black_box;
-use tetris_experiments::{run_one, RunConfig, SchemeKind};
+use tetris_experiments::{run_one, RunConfig, SchemeSelect};
 use tetris_write::{analyze, TetrisConfig};
 
 /// Instructions per core for the system-level benches.
@@ -242,7 +242,7 @@ pub fn canonical_suite(c: &mut Criterion, quick: bool) {
         let mut cfg = run_cfg;
         cfg.system.controller.sched = sched;
         g.bench_function(label, |b| {
-            b.iter(|| black_box(run_one(p, SchemeKind::Tetris, &cfg)))
+            b.iter(|| black_box(run_one(p, SchemeSelect::Tetris, &cfg)))
         });
     }
     g.finish();

@@ -65,3 +65,23 @@ pub fn register_scheme_factory() {
         Box::new(TetrisWrite::new(t))
     });
 }
+
+#[cfg(test)]
+mod tests {
+    use pcm_schemes::SchemeSelect;
+
+    #[test]
+    fn instantiated_names_match() {
+        super::register_scheme_factory();
+        for k in SchemeSelect::ALL {
+            let mut cfg = pcm_schemes::SchemeConfig::paper_baseline();
+            cfg.select = k;
+            let s = cfg.instantiate();
+            match k {
+                SchemeSelect::Dcw => assert_eq!(s.name(), "DCW (baseline)"),
+                SchemeSelect::Tetris => assert_eq!(s.name(), "Tetris Write"),
+                _ => assert!(!s.name().is_empty()),
+            }
+        }
+    }
+}

@@ -2,9 +2,8 @@
 //! cache-line sweeps, asymmetry sensitivity, and wear comparisons.
 
 use crate::report::{f2, mean, Table};
-use crate::schemes::SchemeKind;
 use pcm_memsim::{SimResult, WriteContent};
-use pcm_schemes::analytic;
+use pcm_schemes::{analytic, SchemeSelect};
 use pcm_types::rng::{Rng, SmallRng};
 use pcm_types::{flip_units, LineData, LineDemand, PcmTimings, PowerParams, Ps};
 use pcm_workloads::{ProfileContent, WorkloadProfile, ALL_PROFILES};
@@ -221,7 +220,7 @@ pub fn asymmetry_sensitivity(samples: usize, seed: u64) -> Table {
 pub fn wear_comparison(
     results: &[SimResult],
     profiles: &[WorkloadProfile],
-    schemes: &[SchemeKind],
+    schemes: &[SchemeSelect],
 ) -> Table {
     let mut headers = vec!["workload".to_string()];
     headers.extend(schemes.iter().map(|s| s.short().to_string()));
@@ -279,8 +278,8 @@ pub fn bank_parallelism_sweep(base: &crate::runner::RunConfig) -> Table {
         let mut cfg = *base;
         cfg.system.mem.org.banks_per_rank = banks;
         cfg.system.mem.org.ranks = ranks;
-        let dcw = crate::runner::run_one(p, SchemeKind::Dcw, &cfg);
-        let tetris = crate::runner::run_one(p, SchemeKind::Tetris, &cfg);
+        let dcw = crate::runner::run_one(p, SchemeSelect::Dcw, &cfg);
+        let tetris = crate::runner::run_one(p, SchemeSelect::Tetris, &cfg);
         let d = dcw.runtime.as_ns_f64() / 1000.0;
         let w = tetris.runtime.as_ns_f64() / 1000.0;
         t.row(vec![
@@ -308,7 +307,7 @@ pub fn system_batching_study(base: &crate::runner::RunConfig) -> Table {
         for batch in [1usize, 2, 4] {
             let mut cfg = *base;
             cfg.system.controller.batch_writes = batch;
-            let r = crate::runner::run_one(p, SchemeKind::Tetris, &cfg);
+            let r = crate::runner::run_one(p, SchemeSelect::Tetris, &cfg);
             let runtime = r.runtime.as_ns_f64();
             let norm = match baseline {
                 None => {
@@ -335,7 +334,7 @@ pub fn subarray_sweep(base: &crate::runner::RunConfig) -> Table {
     for name in ["canneal", "vips"] {
         let p = WorkloadProfile::by_name(name).expect("known workload");
         let mut row = vec![name.to_string()];
-        for kind in [SchemeKind::Dcw, SchemeKind::Tetris] {
+        for kind in [SchemeSelect::Dcw, SchemeSelect::Tetris] {
             for subarrays in [1usize, 4] {
                 let mut cfg = *base;
                 cfg.system.controller.subarrays_per_bank = subarrays;
@@ -363,10 +362,10 @@ pub fn write_pausing_study(base: &crate::runner::RunConfig) -> Table {
     for name in ["canneal", "ferret", "vips"] {
         let p = WorkloadProfile::by_name(name).expect("known workload");
         let row = [
-            crate::runner::run_one(p, SchemeKind::Dcw, base),
-            crate::runner::run_one(p, SchemeKind::Dcw, &paused_cfg),
-            crate::runner::run_one(p, SchemeKind::Tetris, base),
-            crate::runner::run_one(p, SchemeKind::Tetris, &paused_cfg),
+            crate::runner::run_one(p, SchemeSelect::Dcw, base),
+            crate::runner::run_one(p, SchemeSelect::Dcw, &paused_cfg),
+            crate::runner::run_one(p, SchemeSelect::Tetris, base),
+            crate::runner::run_one(p, SchemeSelect::Tetris, &paused_cfg),
         ];
         let mut cells = vec![name.to_string()];
         cells.extend(row.iter().map(|r| f2(r.read_latency.mean_ns())));

@@ -61,7 +61,7 @@ use pcm_types::{LineDemand, PowerParams, UnitDemand};
 use pcm_workloads::ALL_PROFILES;
 use tetris_experiments::figures::{self, MatrixView};
 use tetris_experiments::report::Table;
-use tetris_experiments::{ablation, run_matrix, RunConfig, SchemeKind};
+use tetris_experiments::{ablation, run_matrix, RunConfig, SchemeSelect};
 use tetris_write::{analyze, render_gantt, TetrisConfig};
 
 fn print_fig4_gantt() {
@@ -233,7 +233,7 @@ fn cmd_run(args: &[String]) {
     }
     let scheme =
         scheme.unwrap_or_else(|| usage_error("run needs --scheme TAG (or --list-schemes)"));
-    let kind = SchemeKind::parse(&scheme).unwrap_or_else(|| {
+    let kind = scheme.parse::<SchemeSelect>().ok().unwrap_or_else(|| {
         eprintln!("unknown scheme {scheme}; try {}", scheme_tag_hint());
         std::process::exit(1);
     });
@@ -446,7 +446,7 @@ fn cmd_replay(path: &str, scheme: &str) {
     use pcm_memsim::cpu::VecTrace;
     use pcm_memsim::{System, SystemConfig, UniformRandomContent};
     use pcm_workloads::trace::read_trace;
-    let kind = SchemeKind::parse(scheme).unwrap_or_else(|| {
+    let kind = scheme.parse::<SchemeSelect>().ok().unwrap_or_else(|| {
         eprintln!("unknown scheme {scheme}; try {}", scheme_tag_hint());
         std::process::exit(1);
     });
@@ -464,7 +464,7 @@ fn cmd_replay(path: &str, scheme: &str) {
     }
     let mut cfg = SystemConfig::paper_baseline();
     cfg.cores = trace.len();
-    cfg.mem.select = kind.select();
+    cfg.mem.select = kind;
     let mut sys = System::build(cfg)
         .expect("valid config")
         .with_trace(Box::new(VecTrace::new(trace)))
@@ -548,7 +548,7 @@ fn run_traced(out: &str, level: pcm_telemetry::TraceDetail, cfg: &RunConfig) {
     );
     let (r, written) = tetris_experiments::run_one_to_file(
         vips,
-        SchemeKind::Tetris,
+        SchemeSelect::Tetris,
         cfg,
         std::path::Path::new(out),
         level,
@@ -975,11 +975,11 @@ fn main() {
     if needs_matrix {
         eprintln!(
             "running {} simulations ({} instructions/core)…",
-            ALL_PROFILES.len() * SchemeKind::COMPARED.len(),
+            ALL_PROFILES.len() * SchemeSelect::COMPARED.len(),
             cfg.instructions_per_core
         );
-        let results = run_matrix(&ALL_PROFILES, &SchemeKind::COMPARED, &cfg);
-        let m = MatrixView::new(&results, &ALL_PROFILES, &SchemeKind::COMPARED);
+        let results = run_matrix(&ALL_PROFILES, &SchemeSelect::COMPARED, &cfg);
+        let m = MatrixView::new(&results, &ALL_PROFILES, &SchemeSelect::COMPARED);
         if want("table1") {
             emit(&figures::table1(&m), &csv_dir);
         }
@@ -1005,7 +1005,7 @@ fn main() {
             emit(&figures::energy_figure(&m), &csv_dir);
             emit(&figures::tail_latency_figure(&m, "ferret"), &csv_dir);
             emit(
-                &ablation::wear_comparison(&results, &ALL_PROFILES, &SchemeKind::COMPARED),
+                &ablation::wear_comparison(&results, &ALL_PROFILES, &SchemeSelect::COMPARED),
                 &csv_dir,
             );
         }

@@ -10,8 +10,8 @@
 
 use crate::report::{f2, Table};
 use crate::runner::{run_one_to_file, RunConfig};
-use crate::schemes::SchemeKind;
 use pcm_memsim::{PolicySelect, SimResult, WriteCacheConfig};
+use pcm_schemes::SchemeSelect;
 use pcm_telemetry::{read_tagged_events, TraceDetail, TraceSummary};
 use pcm_types::PcmError;
 use pcm_workloads::WorkloadProfile;
@@ -102,7 +102,7 @@ fn run_cell(
     let trace = trace_dir.join(format!("cache-{}-{tag}.jsonl", profile.name));
     let (result, _written) = run_one_to_file(
         profile,
-        SchemeKind::Tetris,
+        SchemeSelect::Tetris,
         &cell_cfg,
         &trace,
         TraceDetail::Fine,

@@ -3,10 +3,9 @@
 
 use crate::paper;
 use crate::report::{f2, f3, mean, reduction_pct, Table};
-use crate::schemes::SchemeKind;
 use pcm_device::PulseLibrary;
 use pcm_memsim::{SimResult, SystemConfig};
-use pcm_schemes::{analytic, SchemeConfig};
+use pcm_schemes::{analytic, SchemeConfig, SchemeSelect};
 use pcm_workloads::{measure_bit_stats, WorkloadProfile, ALL_PROFILES};
 
 /// A workload × scheme result matrix (workload-major, as produced by
@@ -17,7 +16,7 @@ pub struct MatrixView<'a> {
     /// Row labels.
     pub profiles: &'a [WorkloadProfile],
     /// Column labels.
-    pub schemes: &'a [SchemeKind],
+    pub schemes: &'a [SchemeSelect],
 }
 
 impl<'a> MatrixView<'a> {
@@ -25,7 +24,7 @@ impl<'a> MatrixView<'a> {
     pub fn new(
         results: &'a [SimResult],
         profiles: &'a [WorkloadProfile],
-        schemes: &'a [SchemeKind],
+        schemes: &'a [SchemeSelect],
     ) -> Self {
         assert_eq!(
             results.len(),
@@ -47,7 +46,7 @@ impl<'a> MatrixView<'a> {
     fn baseline_col(&self) -> usize {
         self.schemes
             .iter()
-            .position(|&s| s == SchemeKind::Dcw)
+            .position(|&s| s == SchemeSelect::Dcw)
             .expect("matrix must include the DCW baseline")
     }
 
@@ -182,7 +181,7 @@ pub fn table1(m: &MatrixView<'_>) -> Table {
     );
     let base_col = m.baseline_col();
     for (s, kind) in m.schemes.iter().enumerate() {
-        if *kind == SchemeKind::Dcw {
+        if *kind == SchemeSelect::Dcw {
             continue;
         }
         let mut lat = Vec::new();
@@ -199,15 +198,15 @@ pub fn table1(m: &MatrixView<'_>) -> Table {
             en.push(pulses_per_write / full_pulses_per_write);
         }
         let idea = match kind {
-            SchemeKind::Conventional => "worst-case full write",
-            SchemeKind::Fnw => "flip-bit data reduction",
-            SchemeKind::TwoStage => "power/time asymmetry stages",
-            SchemeKind::ThreeStage => "2SW + read-before-write flip",
-            SchemeKind::Tetris => "schedule by actual current demand",
-            SchemeKind::PreSet => "background SET sweep, RESET-only write-back",
-            SchemeKind::Palp => "intra-bank partition-parallel writes",
-            SchemeKind::Wire => "restricted coset coding (4-row codebook)",
-            SchemeKind::Dcw => unreachable!(),
+            SchemeSelect::Conventional => "worst-case full write",
+            SchemeSelect::Fnw => "flip-bit data reduction",
+            SchemeSelect::TwoStage => "power/time asymmetry stages",
+            SchemeSelect::ThreeStage => "2SW + read-before-write flip",
+            SchemeSelect::Tetris => "schedule by actual current demand",
+            SchemeSelect::PreSet => "background SET sweep, RESET-only write-back",
+            SchemeSelect::Palp => "intra-bank partition-parallel writes",
+            SchemeSelect::Wire => "restricted coset coding (4-row codebook)",
+            SchemeSelect::Dcw => unreachable!(),
         };
         t.row(vec![
             kind.name().to_string(),
@@ -465,9 +464,9 @@ mod tests {
     use super::*;
     use crate::runner::{run_matrix, RunConfig};
 
-    fn small_matrix() -> (Vec<SimResult>, Vec<WorkloadProfile>, Vec<SchemeKind>) {
+    fn small_matrix() -> (Vec<SimResult>, Vec<WorkloadProfile>, Vec<SchemeSelect>) {
         let profiles = vec![ALL_PROFILES[0], ALL_PROFILES[7]];
-        let schemes = vec![SchemeKind::Dcw, SchemeKind::Tetris];
+        let schemes = vec![SchemeSelect::Dcw, SchemeSelect::Tetris];
         let cfg = RunConfig::builder()
             .instructions_per_core(200_000)
             .build()
@@ -550,7 +549,7 @@ mod tests {
     #[should_panic(expected = "matrix shape")]
     fn matrix_shape_checked() {
         let profiles = vec![ALL_PROFILES[0]];
-        let schemes = vec![SchemeKind::Dcw];
+        let schemes = vec![SchemeSelect::Dcw];
         let results: Vec<SimResult> = Vec::new();
         let _ = MatrixView::new(&results, &profiles, &schemes);
     }

@@ -3,11 +3,8 @@
 //! The harness that regenerates every table and figure of the paper's
 //! evaluation (§V) on the `pcm-memsim` substrate:
 //!
-//! * [`schemes`] — the compared write schemes behind one enum.
-//! * [`pool`] — a scoped work-stealing thread pool (stdlib-only `rayon`
-//!   replacement) with deterministic, input-ordered results.
 //! * [`runner`] — full-system runs (workload × scheme), parallelized with
-//!   [`pool`] across the experiment matrix.
+//!   [`pcm_types::pool`] across the experiment matrix.
 //! * [`report`] — plain-text table rendering and normalization helpers.
 //! * [`figures`] — one generator per paper artifact: Fig. 1, Fig. 3,
 //!   Table I–III, Fig. 10–14, each annotated with the paper's reported
@@ -34,15 +31,14 @@ pub mod bench_compare;
 pub mod cache_sweep;
 pub mod figures;
 pub mod paper;
-pub mod pool;
 pub mod report;
 pub mod runner;
 pub mod sched_ablation;
-pub mod schemes;
 
 pub use bench_compare::{compare, BenchDelta, CompareReport, DeltaStatus};
 pub use cache_sweep::{cache_sweep_table, run_cache_sweep, CacheCell};
 pub use pcm_memsim::{SimResult, SystemConfig};
+pub use pcm_schemes::SchemeSelect;
 pub use pcm_workloads::{WorkloadProfile, ALL_PROFILES};
 pub use report::Table;
 pub use runner::{
@@ -52,4 +48,3 @@ pub use runner::{
 pub use sched_ablation::{
     delta_table, regression_check, run_sched_ablation, AblationOutcome, PolicySummary,
 };
-pub use schemes::SchemeKind;

@@ -1,15 +1,11 @@
 //! Full-system experiment runs.
 
-use crate::pool;
-use crate::schemes::SchemeKind;
-use pcm_memsim::{Rank, ShardedSystem, SimResult, System, SystemConfig};
+use pcm_memsim::{rank_seed, RankPlan, ShardedSystem, SimResult, System, SystemConfig};
+use pcm_schemes::SchemeSelect;
 use pcm_telemetry::{AsyncTraceWriter, NullSink, Telemetry, TraceDetail};
-use pcm_types::PcmError;
+use pcm_types::{pool, PcmError};
 use pcm_workloads::{GeneratorConfig, ProfileContent, SyntheticParsec, WorkloadProfile};
 use tetris_write::TetrisConfig;
-
-/// Per-rank content-seed perturbation (rank 0 keeps the unsharded seed).
-const RANK_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Sizing/seeding for one experiment run.
 #[derive(Clone, Copy, Debug)]
@@ -118,15 +114,15 @@ fn gen_cfg(profile: &WorkloadProfile, cfg: &RunConfig) -> GeneratorConfig {
 }
 
 /// The scheme-selected system configuration for one run.
-fn sys_cfg(scheme: SchemeKind, cfg: &RunConfig) -> SystemConfig {
+fn sys_cfg(scheme: SchemeSelect, cfg: &RunConfig) -> SystemConfig {
     let mut sys = cfg.system;
-    sys.mem.select = scheme.select();
+    sys.mem.select = scheme;
     sys
 }
 
 /// Run one workload under one scheme. Shards across ranks automatically
 /// when `cfg.system.mem.org.ranks > 1` (see [`run_sharded`]).
-pub fn run_one(profile: &WorkloadProfile, scheme: SchemeKind, cfg: &RunConfig) -> SimResult {
+pub fn run_one(profile: &WorkloadProfile, scheme: SchemeSelect, cfg: &RunConfig) -> SimResult {
     if cfg.system.mem.org.ranks > 1 {
         run_sharded(profile, scheme, cfg, pool::default_threads(), |_| {
             Box::new(NullSink)
@@ -145,7 +141,7 @@ pub fn run_one(profile: &WorkloadProfile, scheme: SchemeKind, cfg: &RunConfig) -
 /// per rank) or [`run_one_to_file`] (async rank-tagged JSONL).
 pub fn run_one_traced(
     profile: &WorkloadProfile,
-    scheme: SchemeKind,
+    scheme: SchemeSelect,
     cfg: &RunConfig,
     tel: Box<dyn Telemetry>,
 ) -> SimResult {
@@ -176,7 +172,7 @@ pub fn run_one_traced(
 /// [`run_one_traced`] result.
 pub fn run_sharded<F>(
     profile: &WorkloadProfile,
-    scheme: SchemeKind,
+    scheme: SchemeSelect,
     cfg: &RunConfig,
     threads: usize,
     rank_sink: F,
@@ -189,15 +185,24 @@ where
     let sharded = ShardedSystem::build(sys_cfg(scheme, cfg), &mut trace)
         .expect("valid sharded configuration");
     let parts = pool::parallel_map(sharded.plans(), threads, |plan| {
-        let seed = (gen_cfg.seed ^ 0x51) ^ (plan.index as u64).wrapping_mul(RANK_SEED_STRIDE);
-        let mut rank = Rank::build(plan).expect("valid rank configuration");
-        rank.sys
-            .set_content(Box::new(ProfileContent::new(profile, seed)));
-        rank.sys.set_workload_name(profile.name);
-        rank.sys.set_telemetry(rank_sink(plan.index));
-        rank.run()
+        run_rank(profile, &gen_cfg, plan, rank_sink(plan.index))
     });
     sharded.merge(&parts)
+}
+
+/// Run one rank's plan with the workload's content, seeded per rank.
+fn run_rank(
+    profile: &WorkloadProfile,
+    gen_cfg: &GeneratorConfig,
+    plan: &RankPlan,
+    tel: Box<dyn Telemetry>,
+) -> SimResult {
+    let seed = rank_seed(gen_cfg.seed ^ 0x51, plan.index);
+    let mut sys = plan.system().expect("valid rank configuration");
+    sys.set_content(Box::new(ProfileContent::new(profile, seed)));
+    sys.set_workload_name(profile.name);
+    sys.set_telemetry(tel);
+    sys.run()
 }
 
 /// Run one workload under one scheme while streaming rank-tagged JSONL
@@ -206,7 +211,7 @@ where
 /// returns the merged result and the number of events written.
 pub fn run_one_to_file(
     profile: &WorkloadProfile,
-    scheme: SchemeKind,
+    scheme: SchemeSelect,
     cfg: &RunConfig,
     path: &std::path::Path,
     level: TraceDetail,
@@ -224,14 +229,14 @@ pub fn run_one_to_file(
 }
 
 /// Run the full workload × scheme matrix in parallel on the in-repo
-/// work-stealing pool ([`crate::pool`]), one worker per core.
+/// work-stealing pool ([`pcm_types::pool`]), one worker per core.
 ///
 /// Results are ordered `profiles × schemes` (workload-major), identical to
 /// the sequential order — each run is independently seeded, so the output
 /// is byte-identical whatever the thread count.
 pub fn run_matrix(
     profiles: &[WorkloadProfile],
-    schemes: &[SchemeKind],
+    schemes: &[SchemeSelect],
     cfg: &RunConfig,
 ) -> Vec<SimResult> {
     run_matrix_threads(profiles, schemes, cfg, pool::default_threads())
@@ -241,7 +246,7 @@ pub fn run_matrix(
 /// no threads spawned).
 pub fn run_matrix_threads(
     profiles: &[WorkloadProfile],
-    schemes: &[SchemeKind],
+    schemes: &[SchemeSelect],
     cfg: &RunConfig,
     threads: usize,
 ) -> Vec<SimResult> {
@@ -269,7 +274,7 @@ mod tests {
     fn single_run_produces_traffic() {
         let p = &ALL_PROFILES[7]; // vips, heaviest
         let cfg = RunConfig::builder().quick().build().unwrap();
-        let r = run_one(p, SchemeKind::Dcw, &cfg);
+        let r = run_one(p, SchemeSelect::Dcw, &cfg);
         assert!(r.mem_writes > 100, "writes: {}", r.mem_writes);
         assert!(r.mem_reads > 100);
         assert_eq!(r.workload, "vips");
@@ -288,7 +293,7 @@ mod tests {
             .build()
             .unwrap();
         let profiles = [ALL_PROFILES[0], ALL_PROFILES[7]];
-        let schemes = [SchemeKind::Dcw, SchemeKind::Tetris];
+        let schemes = [SchemeSelect::Dcw, SchemeSelect::Tetris];
         let m = run_matrix(&profiles, &schemes, &cfg);
         assert_eq!(m.len(), 4);
         assert_eq!(m[0].workload, "blackscholes");
@@ -301,8 +306,8 @@ mod tests {
     fn tetris_beats_baseline_on_write_heavy_workload() {
         let p = &ALL_PROFILES[7]; // vips
         let cfg = RunConfig::builder().quick().build().unwrap();
-        let dcw = run_one(p, SchemeKind::Dcw, &cfg);
-        let tetris = run_one(p, SchemeKind::Tetris, &cfg);
+        let dcw = run_one(p, SchemeSelect::Dcw, &cfg);
+        let tetris = run_one(p, SchemeSelect::Tetris, &cfg);
         assert!(tetris.runtime < dcw.runtime);
         assert!(tetris.ipc() > dcw.ipc());
         assert!(
@@ -320,7 +325,7 @@ mod tests {
             .build()
             .unwrap();
         let profiles = [ALL_PROFILES[0], ALL_PROFILES[2]];
-        let schemes = [SchemeKind::Dcw, SchemeKind::Tetris];
+        let schemes = [SchemeSelect::Dcw, SchemeSelect::Tetris];
         let seq = run_matrix_threads(&profiles, &schemes, &cfg, 1);
         let par = run_matrix_threads(&profiles, &schemes, &cfg, 4);
         assert_eq!(seq.len(), par.len());
@@ -357,7 +362,7 @@ mod tests {
             ALL_PROFILES[4],
             ALL_PROFILES[7],
         ];
-        let schemes = [SchemeKind::Dcw, SchemeKind::Tetris];
+        let schemes = [SchemeSelect::Dcw, SchemeSelect::Tetris];
         let t0 = std::time::Instant::now();
         let seq = run_matrix_threads(&profiles, &schemes, &cfg, 1);
         let t_seq = t0.elapsed();
@@ -379,7 +384,7 @@ mod tests {
             .instructions_per_core(100_000)
             .build()
             .unwrap();
-        for scheme in [SchemeKind::Dcw, SchemeKind::Tetris] {
+        for scheme in [SchemeSelect::Dcw, SchemeSelect::Tetris] {
             let direct = run_one_traced(p, scheme, &cfg, Box::new(NullSink));
             let sharded = run_sharded(p, scheme, &cfg, 1, |_| Box::new(NullSink));
             assert_eq!(direct.runtime, sharded.runtime);
@@ -411,25 +416,19 @@ mod tests {
             .ranks(2)
             .build()
             .unwrap();
-        let streamed = run_sharded(p, SchemeKind::Tetris, &cfg, 1, |_| Box::new(NullSink));
+        let streamed = run_sharded(p, SchemeSelect::Tetris, &cfg, 1, |_| Box::new(NullSink));
 
         // Re-derive the identical stream, but materialize it first.
         let gen_cfg = super::gen_cfg(p, &cfg);
         let mut gen = SyntheticParsec::new(p, gen_cfg);
         let mut captured = VecTrace::capture(&mut gen, gen_cfg.cores);
         let sharded =
-            ShardedSystem::build(super::sys_cfg(SchemeKind::Tetris, &cfg), &mut captured).unwrap();
+            ShardedSystem::build(super::sys_cfg(SchemeSelect::Tetris, &cfg), &mut captured)
+                .unwrap();
         let parts: Vec<SimResult> = sharded
             .plans()
             .iter()
-            .map(|plan| {
-                let seed =
-                    (gen_cfg.seed ^ 0x51) ^ (plan.index as u64).wrapping_mul(RANK_SEED_STRIDE);
-                let mut rank = Rank::build(plan).unwrap();
-                rank.sys.set_content(Box::new(ProfileContent::new(p, seed)));
-                rank.sys.set_workload_name(p.name);
-                rank.run()
-            })
+            .map(|plan| super::run_rank(p, &gen_cfg, plan, Box::new(NullSink)))
             .collect();
         let materialized = sharded.merge(&parts);
 
@@ -463,8 +462,8 @@ mod tests {
             .ranks(4)
             .build()
             .unwrap();
-        let one = run_one(p, SchemeKind::Tetris, &one_cfg);
-        let four = run_one(p, SchemeKind::Tetris, &four_cfg);
+        let one = run_one(p, SchemeSelect::Tetris, &one_cfg);
+        let four = run_one(p, SchemeSelect::Tetris, &four_cfg);
         assert_eq!(four.instructions, one.instructions);
         assert_eq!(four.mem_writes, one.mem_writes);
         assert_eq!(four.mem_reads, one.mem_reads);
@@ -479,8 +478,8 @@ mod tests {
             .ranks(2)
             .build()
             .unwrap();
-        let a = run_sharded(p, SchemeKind::Tetris, &cfg, 1, |_| Box::new(NullSink));
-        let b = run_sharded(p, SchemeKind::Tetris, &cfg, 4, |_| Box::new(NullSink));
+        let a = run_sharded(p, SchemeSelect::Tetris, &cfg, 1, |_| Box::new(NullSink));
+        let b = run_sharded(p, SchemeSelect::Tetris, &cfg, 4, |_| Box::new(NullSink));
         assert_eq!(a.runtime, b.runtime);
         assert_eq!(a.energy, b.energy);
         assert_eq!(a.instructions, b.instructions);
@@ -498,7 +497,7 @@ mod tests {
             .unwrap();
         let path = std::env::temp_dir().join("tetris-runner-tagged-trace.jsonl");
         let (r, written) =
-            run_one_to_file(p, SchemeKind::Tetris, &cfg, &path, TraceDetail::Coarse).unwrap();
+            run_one_to_file(p, SchemeSelect::Tetris, &cfg, &path, TraceDetail::Coarse).unwrap();
         assert!(r.mem_writes > 0);
         assert!(written > 0);
         let tagged =
@@ -517,8 +516,8 @@ mod tests {
             .instructions_per_core(200_000)
             .build()
             .unwrap();
-        let a = run_one(p, SchemeKind::ThreeStage, &cfg);
-        let b = run_one(p, SchemeKind::ThreeStage, &cfg);
+        let a = run_one(p, SchemeSelect::ThreeStage, &cfg);
+        let b = run_one(p, SchemeSelect::ThreeStage, &cfg);
         assert_eq!(a.runtime, b.runtime);
         assert_eq!(a.energy, b.energy);
         assert_eq!(a.read_latency.sum_ps, b.read_latency.sum_ps);

@@ -13,8 +13,8 @@
 
 use crate::report::{f2, Table};
 use crate::runner::{run_one_to_file, RunConfig};
-use crate::schemes::SchemeKind;
 use pcm_memsim::{SchedConfig, SimResult};
+use pcm_schemes::SchemeSelect;
 use pcm_telemetry::{percentile, read_tagged_events, TraceDetail, TraceSummary};
 use pcm_types::PcmError;
 use pcm_workloads::WorkloadProfile;
@@ -203,9 +203,14 @@ pub fn run_sched_ablation(
         let mut cfg = *cfg;
         cfg.system.controller.sched = sched;
         let path = trace_dir.join(format!("{}_{}.jsonl", profile.name, label));
-        let (result, _written) =
-            run_one_to_file(profile, SchemeKind::Tetris, &cfg, &path, TraceDetail::Fine)
-                .map_err(|e| PcmError::config(format!("cannot trace {}: {e}", path.display())))?;
+        let (result, _written) = run_one_to_file(
+            profile,
+            SchemeSelect::Tetris,
+            &cfg,
+            &path,
+            TraceDetail::Fine,
+        )
+        .map_err(|e| PcmError::config(format!("cannot trace {}: {e}", path.display())))?;
         let file = std::fs::File::open(&path)
             .map_err(|e| PcmError::config(format!("cannot reopen {}: {e}", path.display())))?;
         let tagged = read_tagged_events(std::io::BufReader::new(file))

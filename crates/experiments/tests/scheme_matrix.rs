@@ -12,9 +12,9 @@
 
 use pcm_schemes::SchemeSelect;
 use pcm_workloads::WorkloadProfile;
-use tetris_experiments::{run_one, RunConfig, SchemeKind};
+use tetris_experiments::{run_one, RunConfig};
 
-fn vips_quick(kind: SchemeKind) -> pcm_memsim::SimResult {
+fn vips_quick(kind: SchemeSelect) -> pcm_memsim::SimResult {
     let profile = WorkloadProfile::by_name("vips").expect("vips profile exists");
     let cfg = RunConfig::builder().quick().build().expect("quick config");
     run_one(profile, kind, &cfg)
@@ -23,7 +23,7 @@ fn vips_quick(kind: SchemeKind) -> pcm_memsim::SimResult {
 #[test]
 fn every_registered_scheme_simulates_vips_quick() {
     for select in SchemeSelect::ALL {
-        let kind = SchemeKind::from_select(select);
+        let kind = select;
         let r = vips_quick(kind);
         assert!(r.mem_writes > 0, "{}: no writes serviced", select.tag());
         assert!(r.mem_reads > 0, "{}: no reads serviced", select.tag());
@@ -42,8 +42,8 @@ fn every_registered_scheme_simulates_vips_quick() {
 
 #[test]
 fn wire_never_sets_more_cells_than_fnw() {
-    let wire = vips_quick(SchemeKind::Wire);
-    let fnw = vips_quick(SchemeKind::Fnw);
+    let wire = vips_quick(SchemeSelect::Wire);
+    let fnw = vips_quick(SchemeSelect::Fnw);
     assert_eq!(wire.mem_writes, fnw.mem_writes, "same write stream");
     assert!(
         wire.cell_sets <= fnw.cell_sets,
@@ -55,8 +55,8 @@ fn wire_never_sets_more_cells_than_fnw() {
 
 #[test]
 fn palp_services_writes_no_slower_than_dcw() {
-    let palp = vips_quick(SchemeKind::Palp);
-    let dcw = vips_quick(SchemeKind::Dcw);
+    let palp = vips_quick(SchemeSelect::Palp);
+    let dcw = vips_quick(SchemeSelect::Dcw);
     assert_eq!(palp.mem_writes, dcw.mem_writes, "same write stream");
     assert!(
         palp.write_latency.mean_ns() <= dcw.write_latency.mean_ns(),

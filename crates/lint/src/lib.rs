@@ -13,7 +13,7 @@
 //! span-accurate diagnostics ([`diag`]), filtered through a
 //! justification-carrying waiver file ([`allowlist`]).
 //!
-//! Scanning is parallel (the `tetris_experiments::pool` work-stealing
+//! Scanning is parallel (the `pcm_types::pool` work-stealing
 //! pool) and incremental: each file's parsed facts and per-file findings
 //! are cached by content fingerprint in `target/lint-cache.json`
 //! ([`cache`]), so a warm re-run re-parses only changed files. Graph
@@ -105,13 +105,13 @@ pub fn scan(
     threads: usize,
 ) -> ScanOutcome {
     let threads = if threads == 0 {
-        tetris_experiments::pool::default_threads()
+        pcm_types::pool::default_threads()
     } else {
         threads
     };
     let frules = rules::file_rules();
     let scanned: Vec<(SourceFile, Vec<Diagnostic>, u64, bool)> =
-        tetris_experiments::pool::parallel_map(sources, threads, |(rel, src)| {
+        pcm_types::pool::parallel_map(sources, threads, |(rel, src)| {
             let fp = cache::fingerprint(src);
             match old.lookup(rel, fp) {
                 Some(entry) => (

@@ -30,7 +30,10 @@
 //!   synthesized at memory-write time (see DESIGN.md §5), letting workloads
 //!   reproduce the paper's Fig. 3 SET/RESET statistics exactly where the
 //!   schemes consume them.
-//! * [`system`] — wires cores + controller + memory and runs to completion,
+//! * [`lane`] — the memory side both drivers share: one controller, its
+//!   banks, the content model and the optional write cache, with the
+//!   enqueue / cache / drain / issue / complete primitives.
+//! * [`system`] — wires cores + one lane and runs to completion,
 //!   producing the latency/IPC/runtime statistics of Figs. 11–14.
 
 #![forbid(unsafe_code)]
@@ -44,6 +47,7 @@ pub mod controller;
 pub mod cpu;
 pub mod engine;
 pub mod hierarchy;
+pub mod lane;
 pub mod memory;
 pub mod prelude;
 pub mod replacement;
@@ -62,12 +66,13 @@ pub use config::{
 pub use content::{ExplicitContent, UniformRandomContent, WriteContent};
 pub use controller::{MemoryController, ReadEnqueue};
 pub use cpu::{Core, RequestSource, TraceOp, VecTrace};
+pub use lane::Lane;
 pub use memory::{BatchOutcome, PcmMainMemory, WriteOutcome};
 pub use pcm_schemes::{SchemeConfig, SchemeSelect, WriteCtx, WriteScheme};
 pub use replacement::{ParsePolicyError, PolicySelect, ReplacementPolicy};
 pub use request::{AccessKind, MemRequest};
 pub use sched::{SchedConfig, SchedPolicy, WindowPoll};
-pub use shard::{Rank, RankPlan, ShardedSystem};
+pub use shard::{rank_seed, RankPlan, RankSplit, ShardedSystem};
 pub use stats::{LatencyStats, SimResult};
 pub use system::{System, TraceLevel};
 pub use wear_leveling::{GapMove, StartGap};

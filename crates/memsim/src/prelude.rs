@@ -28,7 +28,7 @@ pub use crate::memory::{BatchOutcome, PcmMainMemory, WriteOutcome};
 pub use crate::replacement::{ParsePolicyError, PolicySelect, ReplacementPolicy};
 pub use crate::request::{AccessKind, MemRequest};
 pub use crate::sched::SchedConfig;
-pub use crate::shard::{Rank, RankPlan, ShardedSystem};
+pub use crate::shard::{RankPlan, ShardedSystem};
 pub use crate::stats::{LatencyStats, SimResult};
 pub use crate::system::{System, TraceLevel};
 pub use crate::writecache::{WriteAdmit, WriteCache, WriteCacheStats};

@@ -1,11 +1,13 @@
 //! Multi-rank sharding: one controller shard per PCM rank.
 //!
 //! The paper's Tetris packer exploits write-unit parallelism *inside* a
-//! bank; sharding grows bank-level parallelism *across* ranks. Each
-//! [`Rank`] owns a complete single-rank [`System`] — its own FR-FCFS
-//! controller, bank set and `SchedPolicy` instance — and
+//! bank; sharding grows bank-level parallelism *across* ranks. Each rank
+//! runs a complete single-rank [`System`] built from its [`RankPlan`] —
+//! its own FR-FCFS controller, bank set and `SchedPolicy` instance — and
 //! [`ShardedSystem`] splits one memory-level trace across the ranks by
-//! decoded rank bits, then merges the per-rank [`SimResult`]s.
+//! decoded rank bits, then merges the per-rank [`SimResult`]s. The
+//! serving engine splits its request stream with the same [`RankSplit`]
+//! and seeds each rank's content with the same [`rank_seed`].
 //!
 //! ## Trace partitioning
 //!
@@ -29,7 +31,52 @@ use crate::config::{ConfigError, SystemConfig};
 use crate::cpu::{RequestSource, TraceOp, VecTrace};
 use crate::stats::SimResult;
 use crate::system::{System, TraceLevel};
-use pcm_types::{AddrMap, PcmError};
+use pcm_types::{AddrMap, PcmError, PhysAddr};
+
+/// Per-rank content-seed perturbation (see [`rank_seed`]).
+const RANK_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The content seed of rank `rank` in a run seeded `seed`; rank 0 keeps
+/// the unsharded seed, so a 1-rank split reproduces the unsharded run.
+pub fn rank_seed(seed: u64, rank: u32) -> u64 {
+    seed ^ (rank as u64).wrapping_mul(RANK_SEED_STRIDE)
+}
+
+/// The global → rank-local address split. Every rank is a single-rank
+/// system over capacity ÷ ranks; an address keeps its bank / row /
+/// column coordinates and loses its rank bits.
+#[derive(Clone, Debug)]
+pub struct RankSplit {
+    global: AddrMap,
+    local: AddrMap,
+}
+
+impl RankSplit {
+    /// The split of `cfg`'s `mem.org.ranks` ranks.
+    pub fn new(cfg: &SystemConfig) -> Result<RankSplit, PcmError> {
+        Ok(RankSplit {
+            global: AddrMap::with_default_rows(cfg.mem.org)?,
+            local: AddrMap::with_default_rows(Self::rank_cfg(cfg).mem.org)?,
+        })
+    }
+
+    /// The single-rank configuration every rank of `cfg` runs
+    /// (`mem.org.ranks == 1`, capacity ÷ ranks).
+    pub fn rank_cfg(cfg: &SystemConfig) -> SystemConfig {
+        let mut rank_cfg = *cfg;
+        rank_cfg.mem.org.ranks = 1;
+        rank_cfg.mem.org.capacity_bytes = cfg.mem.org.capacity_bytes / cfg.mem.org.ranks as u64;
+        rank_cfg
+    }
+
+    /// The rank owning global address `addr`, and the address within it.
+    pub fn split(&self, addr: PhysAddr) -> Result<(usize, PhysAddr), PcmError> {
+        let mut d = self.global.decode(addr)?;
+        let rank = d.rank as usize;
+        d.rank = 0;
+        Ok((rank, self.local.encode(&d)?))
+    }
+}
 
 /// Everything needed to build and run one rank's [`System`]: the rank's
 /// single-rank configuration and its share of the trace (gap-folded,
@@ -44,29 +91,12 @@ pub struct RankPlan {
     pub ops: Vec<Vec<TraceOp>>,
 }
 
-/// One controller shard: a rank index plus the single-rank [`System`]
-/// that simulates it.
-pub struct Rank {
-    /// Rank index in the original organization.
-    pub index: u32,
-    /// The shard's complete system (controller, banks, scheduler, PCM).
-    pub sys: System,
-}
-
-impl Rank {
-    /// Build the shard's system from its plan (default content and
-    /// telemetry; chain [`System`] setters via `sys` to replace them).
-    pub fn build(plan: &RankPlan) -> Result<Rank, ConfigError> {
-        let sys = System::build(plan.cfg)?.with_trace(Box::new(VecTrace::new(plan.ops.clone())));
-        Ok(Rank {
-            index: plan.index,
-            sys,
-        })
-    }
-
-    /// Run the shard to completion.
-    pub fn run(&mut self) -> SimResult {
-        self.sys.run()
+impl RankPlan {
+    /// The rank's system: built from the plan's configuration, fed the
+    /// plan's ops, with default content and telemetry (chain [`System`]
+    /// setters to replace them).
+    pub fn system(&self) -> Result<System, ConfigError> {
+        Ok(System::build(self.cfg)?.with_trace(Box::new(VecTrace::new(self.ops.clone()))))
     }
 }
 
@@ -101,12 +131,8 @@ impl ShardedSystem {
             ));
         }
         let ranks = cfg.mem.org.ranks;
-        let global = AddrMap::with_default_rows(cfg.mem.org)?;
-
-        let mut rank_cfg = cfg;
-        rank_cfg.mem.org.ranks = 1;
-        rank_cfg.mem.org.capacity_bytes = cfg.mem.org.capacity_bytes / ranks as u64;
-        let local = AddrMap::with_default_rows(rank_cfg.mem.org)?;
+        let split = RankSplit::new(&cfg)?;
+        let rank_cfg = RankSplit::rank_cfg(&cfg);
 
         let mut instr_totals = vec![0u64; cfg.cores];
 
@@ -124,18 +150,15 @@ impl ShardedSystem {
             let mut carry = vec![0u64; ranks as usize];
             while let Some(op) = source.next(core) {
                 *total += op.gap as u64 + 1;
-                let d = global.decode(op.addr)?;
+                let (rank, addr) = split.split(op.addr)?;
                 for (r, c) in carry.iter_mut().enumerate() {
-                    if r != d.rank as usize {
+                    if r != rank {
                         *c += op.gap as u64 + 1;
                     }
                 }
-                let mut ld = d;
-                ld.rank = 0;
-                let addr = local.encode(&ld)?;
-                let gap = (op.gap as u64 + std::mem::take(&mut carry[d.rank as usize]))
-                    .min(u32::MAX as u64) as u32;
-                plans[d.rank as usize].ops[core].push(TraceOp {
+                let gap =
+                    (op.gap as u64 + std::mem::take(&mut carry[rank])).min(u32::MAX as u64) as u32;
+                plans[rank].ops[core].push(TraceOp {
                     gap,
                     kind: op.kind,
                     addr,
@@ -159,7 +182,7 @@ impl ShardedSystem {
     pub fn run(&self) -> Result<SimResult, ConfigError> {
         let mut parts = Vec::with_capacity(self.plans.len());
         for plan in &self.plans {
-            parts.push(Rank::build(plan)?.run());
+            parts.push(plan.system()?.run());
         }
         Ok(self.merge(&parts))
     }

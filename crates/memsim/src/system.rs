@@ -11,17 +11,17 @@
 
 use crate::config::{ConfigError, SystemConfig};
 use crate::content::{UniformRandomContent, WriteContent};
-use crate::controller::{MemoryController, ReadEnqueue};
+use crate::controller::{CtrlStats, ReadEnqueue};
 use crate::cpu::{Core, CorePhase, RequestSource, VecTrace};
 use crate::engine::{Event, EventQueue};
 use crate::hierarchy::{CacheHierarchy, HitLevel};
+use crate::lane::Lane;
 use crate::memory::PcmMainMemory;
 use crate::request::{AccessKind, MemRequest};
 use crate::stats::{LatencyStats, SimResult};
-use crate::writecache::{WriteAdmit, WriteCache, WriteCacheStats};
-use pcm_schemes::{SchemeConfig, SchemeSelect, WriteScheme};
-use pcm_telemetry::{NullSink, OpKind, Telemetry, TelemetryEvent, TraceDetail};
-use pcm_types::{PhysAddr, Ps};
+use crate::writecache::{WriteAdmit, WriteCacheStats};
+use pcm_telemetry::{NullSink, Telemetry, TelemetryEvent, TraceDetail};
+use pcm_types::{PcmError, PhysAddr, Ps};
 use std::collections::{HashMap, VecDeque};
 
 /// Which abstraction level the trace describes.
@@ -39,13 +39,10 @@ pub struct System {
     level: TraceLevel,
     cores: Vec<Core>,
     trace: Box<dyn RequestSource>,
-    content: Box<dyn WriteContent>,
-    controller: MemoryController,
-    memory: PcmMainMemory,
+    /// Controller, banks, content model and the optional DRAM
+    /// write-cache tier.
+    lane: Lane,
     hierarchy: Option<CacheHierarchy>,
-    /// The DRAM write-cache tier; `None` reproduces the paper's pipeline
-    /// bit for bit (`cfg.write_cache.frames == 0`).
-    write_cache: Option<WriteCache>,
     queue: EventQueue,
     now: Ps,
     next_req_id: u64,
@@ -62,12 +59,40 @@ pub struct System {
     tel: Box<dyn Telemetry>,
 }
 
+/// The next request from `core` at `now`, numbered from `next_id`.
+fn new_req(
+    next_id: &mut u64,
+    core: usize,
+    addr: PhysAddr,
+    kind: AccessKind,
+    now: Ps,
+) -> MemRequest {
+    let id = *next_id;
+    *next_id += 1;
+    MemRequest {
+        id,
+        addr,
+        kind,
+        core,
+        arrival: now,
+    }
+}
+
+/// Cached lines were line-aligned inside the mapped range at admission,
+/// so enqueueing one cannot fail to decode.
+fn cached<T>(r: Result<T, PcmError>) -> T {
+    let Ok(v) = r else {
+        unreachable!("cached line left the mapped address range");
+    };
+    v
+}
+
 impl System {
     /// Build a system from one validated configuration — the single
-    /// construction entry point. The write scheme comes from
-    /// `cfg.mem.select` via [`SchemeConfig::instantiate`] (with
-    /// `cfg.tetris` supplying the packing knobs for
-    /// [`SchemeSelect::Tetris`]); the trace level from `cfg.level`.
+    /// construction entry point. The memory side is one [`Lane`] built
+    /// from `cfg` (scheme from `cfg.mem.select`, with `cfg.tetris`
+    /// supplying the packing knobs for [`pcm_schemes::SchemeSelect::Tetris`]);
+    /// the trace level comes from `cfg.level`.
     ///
     /// The fresh system has an empty trace, seed-0 random write content,
     /// and the zero-cost [`pcm_telemetry::NullSink`]; chain
@@ -75,34 +100,10 @@ impl System {
     /// [`System::with_telemetry`] to replace them.
     pub fn build(cfg: SystemConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        tetris_write::register_scheme_factory();
-        let scheme: Box<dyn WriteScheme> = if cfg.mem.select == SchemeSelect::Tetris {
-            // Route through cfg.tetris so custom packing knobs apply; the
-            // registered factory would use paper-baseline knobs.
-            let mut t = cfg.tetris;
-            t.scheme = cfg.mem;
-            Box::new(tetris_write::TetrisWrite::new(t))
-        } else {
-            cfg.mem.instantiate()
-        };
-        let mem_cfg: SchemeConfig = cfg.mem;
-        let memory = PcmMainMemory::new(mem_cfg, scheme)?;
-        let controller = MemoryController::new(
-            cfg.controller,
-            mem_cfg.timings,
-            mem_cfg.org.total_banks() as usize,
-        );
+        let lane = Lane::new(&cfg, Box::new(UniformRandomContent::new(0)))?;
         let hierarchy = match cfg.level {
             TraceLevel::MemoryLevel => None,
             TraceLevel::CpuLevel => Some(CacheHierarchy::new(&cfg)?),
-        };
-        let write_cache = if cfg.write_cache.enabled() {
-            Some(WriteCache::new(
-                cfg.write_cache,
-                cfg.mem.org.cache_line_bytes,
-            )?)
-        } else {
-            None
         };
         Ok(System {
             cores: (0..cfg.cores).map(Core::new).collect(),
@@ -110,12 +111,9 @@ impl System {
             pending_mem_read: vec![None; cfg.cores],
             level: cfg.level,
             trace: Box::new(VecTrace::new(vec![Vec::new(); cfg.cores])),
-            content: Box::new(UniformRandomContent::new(0)),
             cfg,
-            controller,
-            memory,
+            lane,
             hierarchy,
-            write_cache,
             queue: EventQueue::new(),
             now: Ps::ZERO,
             next_req_id: 0,
@@ -137,7 +135,7 @@ impl System {
 
     /// Replace the write-content model (chainable after [`System::build`]).
     pub fn with_content(mut self, content: Box<dyn WriteContent>) -> Self {
-        self.content = content;
+        self.lane.set_content(content);
         self
     }
 
@@ -151,7 +149,7 @@ impl System {
     /// Replace the write-content model in place (mutating form of
     /// [`System::with_content`]).
     pub fn set_content(&mut self, content: Box<dyn WriteContent>) {
-        self.content = content;
+        self.lane.set_content(content);
     }
 
     /// Label the run's workload in the result.
@@ -168,7 +166,7 @@ impl System {
 
     /// Access the memory model (stats, contents).
     pub fn memory(&self) -> &PcmMainMemory {
-        &self.memory
+        self.lane.memory()
     }
 
     /// Access the cache hierarchy (CPU-level runs).
@@ -179,45 +177,28 @@ impl System {
     /// Cumulative busy time per bank lane — the ground truth a recorded
     /// trace's per-bank utilization should reproduce.
     pub fn bank_busy_totals(&self) -> Vec<Ps> {
-        self.controller.bank_busy_totals()
+        self.lane.ctrl().bank_busy_totals()
     }
 
     /// The controller's counters (drains, pauses, scheduling decisions).
-    pub fn ctrl_stats(&self) -> crate::controller::CtrlStats {
-        self.controller.stats
+    pub fn ctrl_stats(&self) -> CtrlStats {
+        self.lane.ctrl().stats
     }
 
     /// The DRAM write-cache tier's hit/coalesce/drain counters (`None`
     /// when the tier is disabled, i.e. `write_cache.frames == 0`).
     pub fn write_cache_stats(&self) -> Option<WriteCacheStats> {
-        self.write_cache.as_ref().map(|wc| *wc.stats())
+        self.lane.write_cache_stats()
     }
 
     fn cycle(&self) -> Ps {
         self.cfg.cycle()
     }
 
-    fn make_req(&mut self, core: usize, addr: PhysAddr, kind: AccessKind) -> MemRequest {
-        let id = self.next_req_id;
-        self.next_req_id += 1;
-        MemRequest {
-            id,
-            addr,
-            kind,
-            core,
-            arrival: self.now,
-        }
-    }
-
     /// Issue whatever the banks can take, schedule completions, and wake
     /// cores stalled on queue space.
     fn issue_and_wake(&mut self) {
-        let issued = self.controller.try_issue(
-            self.now,
-            &mut self.memory,
-            self.content.as_mut(),
-            self.tel.as_mut(),
-        );
+        let issued = self.lane.try_issue(self.now, self.tel.as_mut());
         for i in &issued {
             self.queue.push(
                 i.completion,
@@ -227,7 +208,7 @@ impl System {
                 },
             );
         }
-        if !self.controller.write_queue_full() {
+        if !self.lane.ctrl().write_queue_full() {
             for core in std::mem::take(&mut self.stalled_write) {
                 let since = match self.cores[core].phase {
                     CorePhase::WaitingWriteSlot { since } => since,
@@ -238,7 +219,7 @@ impl System {
                 self.queue.push(self.now, Event::CoreStep { core });
             }
         }
-        if !self.controller.read_queue_full() {
+        if !self.lane.ctrl().read_queue_full() {
             for core in std::mem::take(&mut self.stalled_read) {
                 let since = match self.cores[core].phase {
                     CorePhase::WaitingReadSlot { since } => since,
@@ -251,46 +232,40 @@ impl System {
         }
     }
 
+    /// After writes joined the queue during a core step: sample the
+    /// depths, and issue at once if the queue is draining.
+    fn writes_enqueued(&mut self) {
+        self.sample_queue_depths();
+        if self.lane.ctrl().draining() {
+            self.issue_and_wake();
+        }
+    }
+
     /// Enqueue one write; returns false (and stalls the core) on
     /// backpressure. With the DRAM write-cache tier enabled the write is
     /// absorbed there instead and dirty lines reach the controller only
     /// through drains.
     fn try_enqueue_write(&mut self, core: usize, addr: PhysAddr) -> bool {
-        if self.write_cache.is_some() {
+        if self.lane.has_cache() {
             return self.write_via_cache(core, addr);
         }
-        if self.controller.write_queue_full() {
+        if self.lane.ctrl().write_queue_full() {
             self.cores[core].phase = CorePhase::WaitingWriteSlot { since: self.now };
             self.stalled_write.push(core);
             return false;
         }
-        let req = self.make_req(core, addr, AccessKind::Write);
-        let d = self
-            .memory
-            .addr_map()
-            .decode(addr)
+        let req = new_req(
+            &mut self.next_req_id,
+            core,
+            addr,
+            AccessKind::Write,
+            self.now,
+        );
+        self.lane
+            .enqueue_write(req, self.tel.as_mut())
             .expect("trace address in range");
-        let fb = self.memory.addr_map().flat_bank(&d);
-        self.controller
-            .enqueue_write(req, &d, fb, self.tel.as_mut());
-        self.sample_queue_depths();
-        if self.controller.draining() {
-            self.issue_and_wake();
-        }
+        self.writes_enqueued();
         true
-    }
-
-    /// Hand a drained (or displaced) dirty line to the controller. The
-    /// caller guarantees queue room; cached addresses were line-aligned
-    /// inside the mapped range at admission, so decode cannot fail.
-    fn enqueue_drained_line(&mut self, core: usize, addr: PhysAddr) {
-        let req = self.make_req(core, addr, AccessKind::Write);
-        let Ok(d) = self.memory.addr_map().decode(addr) else {
-            unreachable!("cached line left the mapped address range");
-        };
-        let fb = self.memory.addr_map().flat_bank(&d);
-        self.controller
-            .enqueue_write(req, &d, fb, self.tel.as_mut());
     }
 
     /// Write path with the DRAM tier in front: coalesce into a cached
@@ -298,88 +273,45 @@ impl System {
     /// the budget is exhausted). The core stalls only when both the frame
     /// table and the controller write queue are full.
     fn write_via_cache(&mut self, core: usize, addr: PhysAddr) -> bool {
-        let ctrl_full = self.controller.write_queue_full();
-        let Some(wc) = self.write_cache.as_mut() else {
-            unreachable!("write_via_cache called without a write cache");
-        };
-        if wc.full() && ctrl_full {
+        if self.lane.cache_full() && self.lane.ctrl().write_queue_full() {
             // Admission would displace a line with nowhere to go.
             self.cores[core].phase = CorePhase::WaitingWriteSlot { since: self.now };
             self.stalled_write.push(core);
             return false;
         }
-        match wc.write(addr) {
-            WriteAdmit::Coalesced => {
-                if self.tel.wants(TraceDetail::Fine) {
-                    self.tel.record(&TelemetryEvent::WriteCacheHit {
-                        at: self.now,
-                        kind: OpKind::Write,
-                    });
-                }
+        let (next_id, now) = (&mut self.next_req_id, self.now);
+        let admit = self
+            .lane
+            .cache_write(addr, now, self.tel.as_mut(), |victim| {
+                new_req(next_id, core, victim, AccessKind::Write, now)
+            });
+        if let Some(WriteAdmit::Admitted { evicted }) = cached(admit) {
+            if evicted.is_some() {
+                self.writes_enqueued();
             }
-            WriteAdmit::Admitted { evicted } => {
-                if let Some(victim) = evicted {
-                    self.enqueue_drained_line(core, victim);
-                    self.sample_queue_depths();
-                    if self.controller.draining() {
-                        self.issue_and_wake();
-                    }
-                }
-                self.drain_write_cache(core);
-            }
+            self.drain_write_cache(core);
         }
         true
     }
 
     /// Background drain: while the frame table sits above its watermark
     /// and the controller has room, trickle policy victims into the write
-    /// queue. One burst emits one `WriteCacheDrain` event.
+    /// queue (one `WriteCacheDrain` event per burst).
     fn drain_write_cache(&mut self, core: usize) {
-        let mut lines = 0u32;
-        loop {
-            let ready = self
-                .write_cache
-                .as_ref()
-                .is_some_and(|wc| wc.over_watermark())
-                && !self.controller.write_queue_full();
-            if !ready {
-                break;
-            }
-            let Some(addr) = self.write_cache.as_mut().and_then(|wc| wc.drain_one()) else {
-                break;
-            };
-            self.enqueue_drained_line(core, addr);
-            lines += 1;
-        }
-        if lines > 0 {
-            if self.tel.wants(TraceDetail::Coarse) {
-                let depth = self
-                    .write_cache
-                    .as_ref()
-                    .map_or(0, |wc| wc.occupancy() as u32);
-                self.tel.record(&TelemetryEvent::WriteCacheDrain {
-                    at: self.now,
-                    lines,
-                    depth,
-                });
-            }
-            self.sample_queue_depths();
-            if self.controller.draining() {
-                self.issue_and_wake();
-            }
+        let (next_id, now) = (&mut self.next_req_id, self.now);
+        let lines = self
+            .lane
+            .drain_cache(false, now, self.tel.as_mut(), |line| {
+                new_req(next_id, core, line, AccessKind::Write, now)
+            });
+        if cached(lines) > 0 {
+            self.writes_enqueued();
         }
     }
 
     /// Record the instantaneous queue depths (fine-detail traces only).
     fn sample_queue_depths(&mut self) {
-        if self.tel.wants(TraceDetail::Fine) {
-            let (r, w) = self.controller.queue_depths();
-            self.tel.record(&TelemetryEvent::QueueDepth {
-                at: self.now,
-                reads: r as u32,
-                writes: w as u32,
-            });
-        }
+        self.lane.sample_depths(self.now, self.tel.as_mut());
     }
 
     /// Issue a blocking memory read; returns false (and stalls) if the read
@@ -388,36 +320,25 @@ impl System {
     fn issue_mem_read(&mut self, core: usize, addr: PhysAddr) -> bool {
         // A load whose line sits dirty in the DRAM tier is answered there
         // at bus speed, like store-to-load forwarding from the write queue.
-        if self
-            .write_cache
-            .as_mut()
-            .is_some_and(|wc| wc.read_hit(addr))
-        {
-            if self.tel.wants(TraceDetail::Fine) {
-                self.tel.record(&TelemetryEvent::WriteCacheHit {
-                    at: self.now,
-                    kind: OpKind::Read,
-                });
-            }
-            let done = self.now + self.cfg.controller.t_bus;
+        if let Some(done) = self.lane.read_hit(addr, self.now, self.tel.as_mut()) {
             self.read_lat.record(done - self.now);
             self.cores[core].phase = CorePhase::Computing;
             self.queue.push(done, Event::CoreStep { core });
             return true;
         }
-        if self.controller.read_queue_full() {
+        if self.lane.ctrl().read_queue_full() {
             self.cores[core].phase = CorePhase::WaitingReadSlot { since: self.now };
             self.stalled_read.push(core);
             return false;
         }
-        let req = self.make_req(core, addr, AccessKind::Read);
-        let d = self
-            .memory
-            .addr_map()
-            .decode(addr)
-            .expect("trace address in range");
-        let fb = self.memory.addr_map().flat_bank(&d);
-        match self.controller.enqueue_read(req, &d, fb) {
+        let req = new_req(
+            &mut self.next_req_id,
+            core,
+            addr,
+            AccessKind::Read,
+            self.now,
+        );
+        match self.lane.enqueue_read(req).expect("trace address in range") {
             ReadEnqueue::Forwarded(t) => {
                 self.read_lat.record(t - req.arrival);
                 self.cores[core].phase = CorePhase::Computing;
@@ -537,8 +458,8 @@ impl System {
     /// final-flush path, where cores are quiescent and backpressure
     /// accounting no longer applies.
     fn pump_for_write_slot(&mut self) {
-        while self.controller.write_queue_full() {
-            self.controller.force_drain();
+        while self.lane.ctrl().write_queue_full() {
+            self.lane.force_drain();
             self.issue_and_wake();
             if let Some((t, e)) = self.queue.pop() {
                 self.now = t;
@@ -553,16 +474,10 @@ impl System {
     }
 
     fn handle_bank_complete(&mut self, bank: usize, epoch: u64) {
-        let reqs = self.controller.complete(bank, epoch);
         // An empty vec is a stale completion of a paused write; the resumed
         // instance will deliver its own event. Either way, completing (or
         // skipping) is a scheduling opportunity.
-        if !reqs.is_empty() && self.tel.wants(TraceDetail::Fine) {
-            self.tel.record(&TelemetryEvent::BankIdle {
-                at: self.now,
-                bank: bank as u32,
-            });
-        }
+        let reqs = self.lane.complete(bank, epoch, self.now, self.tel.as_mut());
         for req in reqs {
             let latency = self.now - req.arrival;
             match req.kind {
@@ -592,7 +507,7 @@ impl System {
         if self.tel.wants(TraceDetail::Coarse) {
             self.tel.record(&TelemetryEvent::RunMeta {
                 workload: self.workload_name.clone(),
-                scheme: self.memory.scheme_name().to_string(),
+                scheme: self.lane.memory().scheme_name().to_string(),
                 banks: self.cfg.mem.org.total_banks()
                     * self.cfg.controller.subarrays_per_bank.max(1) as u32,
             });
@@ -620,41 +535,29 @@ impl System {
                     for addr in dirty {
                         // Final flush bypasses backpressure accounting.
                         self.pump_for_write_slot();
-                        let req = self.make_req(0, addr, AccessKind::Write);
-                        let d = self
-                            .memory
-                            .addr_map()
-                            .decode(addr)
+                        let req =
+                            new_req(&mut self.next_req_id, 0, addr, AccessKind::Write, self.now);
+                        self.lane
+                            .enqueue_write(req, self.tel.as_mut())
                             .expect("flush address in range");
-                        let fb = self.memory.addr_map().flat_bank(&d);
-                        self.controller
-                            .enqueue_write(req, &d, fb, self.tel.as_mut());
                     }
                     continue;
                 }
                 // Hierarchy is clean; empty the DRAM tier next (every
                 // admitted line must drain exactly once).
-                let cached = self
-                    .write_cache
-                    .as_mut()
-                    .map_or_else(Vec::new, |wc| wc.flush());
-                if !cached.is_empty() {
-                    if self.tel.wants(TraceDetail::Coarse) {
-                        self.tel.record(&TelemetryEvent::WriteCacheDrain {
-                            at: self.now,
-                            lines: cached.len() as u32,
-                            depth: 0,
-                        });
-                    }
-                    for addr in cached {
+                let lines = self.lane.flush_cache(self.now, self.tel.as_mut());
+                if !lines.is_empty() {
+                    for addr in lines {
                         self.pump_for_write_slot();
-                        self.enqueue_drained_line(0, addr);
+                        let req =
+                            new_req(&mut self.next_req_id, 0, addr, AccessKind::Write, self.now);
+                        cached(self.lane.enqueue_write(req, self.tel.as_mut()));
                     }
                     continue;
                 }
             }
-            if self.controller.has_pending() {
-                self.controller.force_drain();
+            if self.lane.ctrl().has_pending() {
+                self.lane.force_drain();
                 self.issue_and_wake();
                 if self.queue.is_empty() {
                     break;
@@ -667,10 +570,10 @@ impl System {
         if let Err(e) = self.tel.flush() {
             eprintln!("warning: telemetry flush failed: {e}");
         }
-        let (row_hits, row_misses) = self.controller.row_stats();
-        let mem = self.memory.stats();
+        let (row_hits, row_misses) = self.lane.ctrl().row_stats();
+        let mem = self.lane.memory().stats();
         SimResult {
-            scheme: self.memory.scheme_name().to_string(),
+            scheme: self.lane.memory().scheme_name().to_string(),
             workload: self.workload_name.clone(),
             runtime: self
                 .cores
@@ -686,12 +589,12 @@ impl System {
                 .collect(),
             read_latency: self.read_lat.clone(),
             write_latency: self.write_lat.clone(),
-            read_forwards: self.controller.stats.read_forwards,
+            read_forwards: self.lane.ctrl().stats.read_forwards,
             row_hits,
             row_misses,
             mem_writes: mem.writes,
             mem_reads: mem.reads,
-            avg_write_units: self.memory.avg_write_units(),
+            avg_write_units: self.lane.memory().avg_write_units(),
             energy: mem.energy,
             cell_sets: mem.cell_sets,
             cell_resets: mem.cell_resets,
@@ -705,6 +608,7 @@ impl System {
 mod tests {
     use super::*;
     use crate::cpu::TraceOp;
+    use pcm_schemes::SchemeSelect;
 
     fn mem_trace_ops(n: usize, gap: u32, write_every: usize, stride: u64) -> Vec<TraceOp> {
         (0..n)
@@ -1177,6 +1081,63 @@ mod tests {
         let (cached, cached_sum) = run_with(64);
         assert_eq!(cached.mem_reads, base.mem_reads);
         assert!(cached_sum.write_cache_drains > 0);
+    }
+
+    /// FNV-1a, for pinning byte streams across commits.
+    fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// Cross-commit pin of the write-cache paths (read hit, coalesce,
+    /// admit with eviction, watermark drain, write stall with a full tier,
+    /// end-of-run flush): the result and the Fine trace must stay byte
+    /// for byte what they were before the memory-side lane was shared
+    /// with the serving engine.
+    #[test]
+    fn write_cache_run_golden() {
+        use crate::replacement::PolicySelect;
+        use pcm_telemetry::JsonlSink;
+        let ops: Vec<TraceOp> = (0..1200u64)
+            .map(|i| {
+                let hot = (i / 8 % 12) * 64;
+                let (kind, addr) = match i % 8 {
+                    0 => (AccessKind::Write, hot),
+                    // Read back the hot line just written: a DRAM-tier hit.
+                    1 => (AccessKind::Read, hot),
+                    6 => (AccessKind::Read, i * 64_000),
+                    7 => (AccessKind::Write, (i / 8 + 5) % 12 * 64),
+                    _ => (AccessKind::Write, i * 4096 + 64),
+                };
+                TraceOp { gap: 0, kind, addr }
+            })
+            .collect();
+        let cfg = SystemConfig::builder()
+            .cores(1)
+            .scheme(SchemeSelect::Tetris)
+            .write_cache(16)
+            .drain_watermark(8)
+            .write_cache_policy(PolicySelect::TwoQ)
+            .build()
+            .unwrap();
+        let path =
+            std::env::temp_dir().join(format!("pcm_memsim_wc_golden_{}.jsonl", std::process::id()));
+        let mut sys = System::build(cfg)
+            .unwrap()
+            .with_trace(Box::new(VecTrace::new(vec![ops])))
+            .with_content(Box::new(UniformRandomContent::new(3)));
+        sys.set_telemetry(Box::new(
+            JsonlSink::create(&path, TraceDetail::Fine).unwrap(),
+        ));
+        let r = sys.run();
+        let trace = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let stats = sys.write_cache_stats().expect("tier enabled");
+        assert!(stats.read_hits > 0 && stats.coalesced > 0 && stats.drained > 0);
+        let h = fnv1a(0xcbf2_9ce4_8422_2325, format!("{r:?}{stats:?}").as_bytes());
+        let h = fnv1a(h, &trace);
+        assert_eq!(h, 0x99ee_8841_0394_2026, "write-cache run drifted");
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! hierarchy uses, selected per cache by [`PolicySelect`].
 //!
 //! The tier is *engine-agnostic*: it never touches the event queue or
-//! telemetry. [`crate::System`] and `pcm-serve`'s engine own the
-//! scheduling and event emission; this module owns only the frame table,
-//! so both front ends share one coalescing model. `frames = 0` systems
+//! telemetry. [`crate::lane::Lane`] wraps it with the enqueue, drain and
+//! event emission that [`crate::System`] and `pcm-serve`'s engine share;
+//! this module owns only the frame table. `frames = 0` systems
 //! never construct a `WriteCache` at all — the pipeline is bit-for-bit
 //! the paper's.
 //!
@@ -75,7 +75,7 @@ pub enum WriteAdmit {
 }
 
 /// The frame table. See the module docs for the model; see
-/// [`crate::System`] for the drain scheduling built on top.
+/// [`crate::lane::Lane`] for the drains built on top.
 #[derive(Clone, Debug)]
 pub struct WriteCache {
     frames: Vec<Frame>,

@@ -37,6 +37,9 @@
 //! * [`stats`] — nearest-rank percentile machinery ([`Percentiles`])
 //!   shared by telemetry summaries, the adaptive scheduler, and the
 //!   `pcm-serve` SLO report.
+//! * [`pool`] — a scoped work-stealing thread pool (the `rayon`
+//!   replacement) with deterministic, input-ordered results, used by the
+//!   experiment matrix, the rank shards and the lint scanner.
 //!
 //! Everything here is `#![forbid(unsafe_code)]`, allocation-free on the hot
 //! paths (fixed-capacity line buffers), and deterministic.
@@ -56,6 +59,7 @@ pub mod flip;
 pub mod json;
 pub mod org;
 pub mod perf;
+pub mod pool;
 pub mod power;
 pub mod propcheck;
 pub mod rng;

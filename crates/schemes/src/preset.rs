@@ -82,6 +82,45 @@ impl SchemeSelect {
             SchemeSelect::Wire => "wire",
         }
     }
+
+    /// The five schemes of Figs. 10–14 (baseline first).
+    pub const COMPARED: [SchemeSelect; 5] = [
+        SchemeSelect::Dcw,
+        SchemeSelect::Fnw,
+        SchemeSelect::TwoStage,
+        SchemeSelect::ThreeStage,
+        SchemeSelect::Tetris,
+    ];
+
+    /// Display name matching the paper.
+    pub const fn name(self) -> &'static str {
+        match self {
+            SchemeSelect::Conventional => "Conventional",
+            SchemeSelect::Dcw => "Baseline (DCW)",
+            SchemeSelect::Fnw => "Flip-N-Write",
+            SchemeSelect::TwoStage => "2-Stage-Write",
+            SchemeSelect::ThreeStage => "Three-Stage-Write",
+            SchemeSelect::PreSet => "PreSET",
+            SchemeSelect::Tetris => "Tetris Write",
+            SchemeSelect::Palp => "PALP",
+            SchemeSelect::Wire => "WIRE",
+        }
+    }
+
+    /// Short column label.
+    pub const fn short(self) -> &'static str {
+        match self {
+            SchemeSelect::Conventional => "Conv",
+            SchemeSelect::Dcw => "DCW",
+            SchemeSelect::Fnw => "FNW",
+            SchemeSelect::TwoStage => "2SW",
+            SchemeSelect::ThreeStage => "3SW",
+            SchemeSelect::PreSet => "PreSET",
+            SchemeSelect::Tetris => "Tetris",
+            SchemeSelect::Palp => "PALP",
+            SchemeSelect::Wire => "WIRE",
+        }
+    }
 }
 
 impl fmt::Display for SchemeSelect {
@@ -243,6 +282,28 @@ mod tests {
             new_logical: new,
             cfg: &cfg,
         })
+    }
+
+    #[test]
+    fn parse_roundtrip() {
+        for k in SchemeSelect::ALL {
+            assert_eq!(k.short().parse::<SchemeSelect>().ok(), Some(k));
+            assert_eq!(k.tag().parse::<SchemeSelect>().ok(), Some(k));
+        }
+        assert_eq!(
+            "TETRIS".parse::<SchemeSelect>().ok(),
+            Some(SchemeSelect::Tetris)
+        );
+        assert_eq!("bogus".parse::<SchemeSelect>().ok(), None);
+    }
+
+    #[test]
+    fn compared_starts_with_baseline() {
+        assert_eq!(SchemeSelect::COMPARED[0], SchemeSelect::Dcw);
+        assert_eq!(
+            *SchemeSelect::COMPARED.last().unwrap(),
+            SchemeSelect::Tetris
+        );
     }
 
     #[test]

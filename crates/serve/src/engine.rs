@@ -4,10 +4,11 @@
 //! needs *incremental* progress — a request arrives, is admitted or shed,
 //! and completes some simulated time later, with the caller able to react
 //! to each completion (closed-loop users wait on theirs). The engine
-//! therefore owns one [`MemoryController`] + [`PcmMainMemory`] pair per
-//! PCM rank (the same shard-per-rank decomposition as
-//! [`pcm_memsim::ShardedSystem`]) and advances a single simulated clock
-//! as requests are submitted.
+//! therefore owns one memory-side [`Lane`] per PCM rank — the same lane
+//! type the batch simulator drives, split by the same [`RankSplit`] as
+//! [`pcm_memsim::ShardedSystem`] — and advances a single simulated clock
+//! as requests are submitted. Only admission, shedding, the clock and
+//! completion reporting are the engine's own.
 //!
 //! **All time is simulated.** Requests carry explicit arrival offsets
 //! ([`Ps`]); the engine never reads the host clock, so a given request
@@ -26,19 +27,27 @@
 //! shed *rate* is the observable overload signal.
 
 use pcm_memsim::{
-    AccessKind, MemRequest, MemoryController, PcmMainMemory, ReadEnqueue, SystemConfig,
-    UniformRandomContent, WriteAdmit, WriteCache, WriteCacheStats,
+    rank_seed, AccessKind, Lane, MemRequest, RankSplit, ReadEnqueue, SystemConfig,
+    UniformRandomContent, WriteCacheStats,
 };
 use pcm_telemetry::{OpKind, Telemetry, TelemetryEvent, TraceDetail};
-use pcm_types::{AddrMap, PcmError, PhysAddr, Ps};
+use pcm_types::{PcmError, PhysAddr, Ps};
 use std::collections::BTreeSet;
-
-/// Per-rank content-seed perturbation (matches the experiments runner).
-const RANK_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Request id reserved for background write-cache drains, so their bank
 /// completions are never reported to a submitter.
 const BACKGROUND_ID: u64 = u64::MAX;
+
+/// A drained line's trip to the banks at `now`, under the background id.
+fn background(addr: PhysAddr, now: Ps) -> MemRequest {
+    MemRequest {
+        id: BACKGROUND_ID,
+        addr,
+        kind: AccessKind::Write,
+        core: 0,
+        arrival: now,
+    }
+}
 
 /// Configuration for a [`ServeEngine`].
 #[derive(Clone, Copy, Debug)]
@@ -114,21 +123,11 @@ pub struct ServeStats {
     pub peak_read_depth: usize,
 }
 
-/// One rank's shard: controller, banks, content model and (optionally)
-/// the rank's slice of the DRAM write-cache tier.
-struct RankLane {
-    ctrl: MemoryController,
-    memory: PcmMainMemory,
-    content: UniformRandomContent,
-    cache: Option<WriteCache>,
-}
-
 /// The request-serving engine. See the module docs for the model.
 pub struct ServeEngine {
     cfg: ServeConfig,
-    global: AddrMap,
-    local: AddrMap,
-    lanes: Vec<RankLane>,
+    split: RankSplit,
+    lanes: Vec<Lane>,
     tel: Box<dyn Telemetry>,
     now: Ps,
     next_id: u64,
@@ -140,40 +139,17 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Build the engine: one controller shard per rank, rank-local
-    /// address spaces (capacity ÷ ranks), content seeded per rank exactly
-    /// like the experiments runner.
+    /// Build the engine: one lane per rank over the rank-local address
+    /// space (capacity ÷ ranks), content seeded per rank exactly like the
+    /// experiments runner.
     pub fn new(cfg: ServeConfig, tel: Box<dyn Telemetry>) -> Result<ServeEngine, PcmError> {
         cfg.system.validate()?;
-        tetris_write::register_scheme_factory();
-        let ranks = cfg.system.mem.org.ranks;
-        let global = AddrMap::with_default_rows(cfg.system.mem.org)?;
-        let mut rank_mem = cfg.system.mem;
-        rank_mem.org.ranks = 1;
-        rank_mem.org.capacity_bytes = cfg.system.mem.org.capacity_bytes / ranks as u64;
-        let local = AddrMap::with_default_rows(rank_mem.org)?;
-        let mut lanes = Vec::with_capacity(ranks as usize);
-        for r in 0..ranks {
-            let scheme = rank_mem.instantiate();
-            lanes.push(RankLane {
-                ctrl: MemoryController::new(
-                    cfg.system.controller,
-                    rank_mem.timings,
-                    rank_mem.org.banks_per_rank as usize,
-                ),
-                memory: PcmMainMemory::new(rank_mem, scheme)?,
-                content: UniformRandomContent::new(
-                    cfg.content_seed ^ (r as u64).wrapping_mul(RANK_SEED_STRIDE),
-                ),
-                cache: if cfg.system.write_cache.enabled() {
-                    Some(WriteCache::new(
-                        cfg.system.write_cache,
-                        rank_mem.org.cache_line_bytes,
-                    )?)
-                } else {
-                    None
-                },
-            });
+        let split = RankSplit::new(&cfg.system)?;
+        let rank_cfg = RankSplit::rank_cfg(&cfg.system);
+        let mut lanes = Vec::with_capacity(cfg.system.mem.org.ranks as usize);
+        for r in 0..cfg.system.mem.org.ranks {
+            let content = UniformRandomContent::new(rank_seed(cfg.content_seed, r));
+            lanes.push(Lane::new(&rank_cfg, Box::new(content))?);
         }
         let mut tel = tel;
         if tel.wants(TraceDetail::Coarse) {
@@ -181,7 +157,7 @@ impl ServeEngine {
                 workload: "serve".to_string(),
                 scheme: lanes
                     .first()
-                    .map(|l| l.memory.scheme_name())
+                    .map(|l| l.memory().scheme_name())
                     .unwrap_or_default()
                     .to_string(),
                 banks: cfg.system.mem.org.total_banks(),
@@ -189,8 +165,7 @@ impl ServeEngine {
         }
         Ok(ServeEngine {
             cfg,
-            global,
-            local,
+            split,
             lanes,
             tel,
             now: Ps::ZERO,
@@ -233,56 +208,30 @@ impl ServeEngine {
         // the configured capacity.
         let line = self.cfg.system.mem.org.cache_line_bytes as u64;
         let addr = (addr % self.cfg.system.mem.org.capacity_bytes) / line * line;
-        let d = self.global.decode(addr)?;
-        let rank = d.rank as usize;
-        let mut ld = d;
-        ld.rank = 0;
-        let local_addr = self.local.encode(&ld)?;
-        let dl = self.local.decode(local_addr)?;
-        let flat = self.local.flat_bank(&dl);
-        let (read_depth, write_depth) = self.lanes[rank].ctrl.queue_depths();
+        let (rank, local_addr) = self.split.split(addr)?;
+        let (read_depth, write_depth) = self.lanes[rank].ctrl().queue_depths();
         self.stats.peak_read_depth = self.stats.peak_read_depth.max(read_depth);
         self.stats.peak_write_depth = self.stats.peak_write_depth.max(write_depth);
         // A read whose line sits dirty in the rank's DRAM tier is served
         // there at bus speed — no queue slot, no bank occupancy.
-        if kind == AccessKind::Read
-            && self.lanes[rank]
-                .cache
-                .as_mut()
-                .is_some_and(|wc| wc.read_hit(local_addr))
-        {
-            if self.tel.wants(TraceDetail::Fine) {
-                self.tel.record(&TelemetryEvent::WriteCacheHit {
-                    at,
-                    kind: OpKind::Read,
-                });
+        if kind == AccessKind::Read {
+            if let Some(ready) = self.lanes[rank].read_hit(local_addr, at, self.tel.as_mut()) {
+                let req = self.admit(tenant, kind, local_addr, at);
+                self.stats.reads += 1;
+                self.record_done(&req, ready);
+                return Ok(Admission::Accepted { id: req.id });
             }
-            let id = self.next_id;
-            self.next_id += 1;
-            self.stats.reads += 1;
-            let ready = at + self.cfg.system.controller.t_bus;
-            self.record_done(Completion {
-                id,
-                tenant,
-                kind,
-                at: ready,
-                latency: ready.saturating_sub(at),
-            });
-            return Ok(Admission::Accepted { id });
         }
+        let lane = &self.lanes[rank];
         let full = match kind {
             AccessKind::Write => {
                 // With the DRAM tier in front, a write sheds only when the
                 // frame table is exhausted *and* the rank's queue is past
                 // the shed mark — the cache absorbs bursts first.
-                let queue_full =
-                    write_depth >= self.shed_mark() || self.lanes[rank].ctrl.write_queue_full();
-                match self.lanes[rank].cache.as_ref() {
-                    Some(wc) => wc.full() && queue_full,
-                    None => queue_full,
-                }
+                let queue_full = write_depth >= self.shed_mark() || lane.ctrl().write_queue_full();
+                queue_full && (!lane.has_cache() || lane.cache_full())
             }
-            AccessKind::Read => self.lanes[rank].ctrl.read_queue_full(),
+            AccessKind::Read => lane.ctrl().read_queue_full(),
         };
         if full {
             let depth = match kind {
@@ -299,78 +248,36 @@ impl ServeEngine {
             }
             return Ok(Admission::Shed { depth });
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        let req = MemRequest {
-            id,
-            addr: local_addr,
-            kind,
-            core: tenant as usize,
-            arrival: at,
-        };
+        let req = self.admit(tenant, kind, local_addr, at);
         let lane = &mut self.lanes[rank];
         match kind {
             AccessKind::Read => {
                 self.stats.reads += 1;
-                if let ReadEnqueue::Forwarded(ready) = lane.ctrl.enqueue_read(req, &dl, flat) {
+                if let ReadEnqueue::Forwarded(ready) = lane.enqueue_read(req)? {
                     // Store-to-load forwarding: served from the write
                     // queue without touching a bank.
-                    self.record_done(Completion {
-                        id,
-                        tenant,
-                        kind,
-                        at: ready,
-                        latency: ready.saturating_sub(at),
-                    });
+                    self.record_done(&req, ready);
                 }
             }
             AccessKind::Write => {
                 self.stats.writes += 1;
-                if lane.cache.is_some() {
-                    // Absorb the write in DRAM: it completes at bus speed
-                    // and its line drains to the PCM banks later.
-                    let admit = self.lanes[rank]
-                        .cache
-                        .as_mut()
-                        .map(|wc| wc.write(local_addr));
-                    if matches!(admit, Some(WriteAdmit::Coalesced))
-                        && self.tel.wants(TraceDetail::Fine)
-                    {
-                        self.tel.record(&TelemetryEvent::WriteCacheHit {
-                            at,
-                            kind: OpKind::Write,
-                        });
-                    }
-                    if let Some(WriteAdmit::Admitted {
-                        evicted: Some(victim),
-                    }) = admit
-                    {
-                        self.enqueue_background(rank, victim)?;
-                    }
+                // With the DRAM tier in front, the write is absorbed there:
+                // it completes at bus speed and its line drains to the PCM
+                // banks later.
+                let cached = lane.cache_write(local_addr, at, self.tel.as_mut(), |victim| {
+                    background(victim, at)
+                })?;
+                if cached.is_some() {
                     self.drain_lane_cache(rank, false)?;
-                    let ready = at + self.cfg.system.controller.t_bus;
-                    self.record_done(Completion {
-                        id,
-                        tenant,
-                        kind,
-                        at: ready,
-                        latency: ready.saturating_sub(at),
-                    });
+                    self.record_done(&req, at + self.cfg.system.controller.t_bus);
                 } else {
-                    lane.ctrl.enqueue_write(req, &dl, flat, self.tel.as_mut());
+                    lane.enqueue_write(req, self.tel.as_mut())?;
                 }
             }
         }
-        if self.tel.wants(TraceDetail::Fine) {
-            let (r_q, w_q) = self.lanes[rank].ctrl.queue_depths();
-            self.tel.record(&TelemetryEvent::QueueDepth {
-                at,
-                reads: r_q as u32,
-                writes: w_q as u32,
-            });
-        }
-        self.issue(rank)?;
-        Ok(Admission::Accepted { id })
+        self.lanes[rank].sample_depths(at, self.tel.as_mut());
+        self.issue(rank);
+        Ok(Admission::Accepted { id: req.id })
     }
 
     /// Advance to the next bank completion, if any. With nothing in
@@ -380,11 +287,11 @@ impl ServeEngine {
     pub fn step(&mut self) -> Result<bool, PcmError> {
         if self.pending.is_empty() {
             for rank in 0..self.lanes.len() {
-                self.lanes[rank].ctrl.force_drain();
-                self.issue(rank)?;
+                self.lanes[rank].force_drain();
+                self.issue(rank);
             }
         }
-        match self.pending.iter().next().copied() {
+        match self.pending.first().copied() {
             Some((t, _, _, _)) => {
                 self.advance_to(t)?;
                 Ok(true)
@@ -417,73 +324,27 @@ impl ServeEngine {
     pub fn write_cache_stats(&self) -> Option<WriteCacheStats> {
         let mut any = false;
         let mut total = WriteCacheStats::default();
-        for lane in &self.lanes {
-            if let Some(wc) = lane.cache.as_ref() {
-                any = true;
-                let s = wc.stats();
-                total.coalesced += s.coalesced;
-                total.admitted += s.admitted;
-                total.read_hits += s.read_hits;
-                total.drained += s.drained;
-            }
+        for s in self.lanes.iter().filter_map(Lane::write_cache_stats) {
+            any = true;
+            total.coalesced += s.coalesced;
+            total.admitted += s.admitted;
+            total.read_hits += s.read_hits;
+            total.drained += s.drained;
         }
         any.then_some(total)
     }
 
-    /// Enqueue one drained line as a background write (sentinel id: its
-    /// completion is consumed by the engine, not reported).
-    fn enqueue_background(&mut self, rank: usize, addr: PhysAddr) -> Result<(), PcmError> {
-        let dl = self.local.decode(addr)?;
-        let flat = self.local.flat_bank(&dl);
-        let req = MemRequest {
-            id: BACKGROUND_ID,
-            addr,
-            kind: AccessKind::Write,
-            core: 0,
-            arrival: self.now,
-        };
-        self.lanes[rank]
-            .ctrl
-            .enqueue_write(req, &dl, flat, self.tel.as_mut());
-        Ok(())
-    }
-
-    /// Trickle one lane's cached lines into its controller: past the
-    /// watermark during service (`to_empty = false`), or down to nothing
-    /// on final drain (`to_empty = true`). Returns whether any line moved.
+    /// Trickle one lane's cached lines into its controller as background
+    /// writes: past the watermark during service (`to_empty = false`), or
+    /// down to nothing on final drain (`to_empty = true`). Returns whether
+    /// any line moved.
     fn drain_lane_cache(&mut self, rank: usize, to_empty: bool) -> Result<bool, PcmError> {
-        let mut lines = 0u32;
-        loop {
-            let lane = &mut self.lanes[rank];
-            let ready = lane.cache.as_ref().is_some_and(|wc| {
-                if to_empty {
-                    wc.occupancy() > 0
-                } else {
-                    wc.over_watermark()
-                }
-            }) && !lane.ctrl.write_queue_full();
-            if !ready {
-                break;
-            }
-            let Some(addr) = lane.cache.as_mut().and_then(|wc| wc.drain_one()) else {
-                break;
-            };
-            self.enqueue_background(rank, addr)?;
-            lines += 1;
-        }
+        let now = self.now;
+        let lines = self.lanes[rank].drain_cache(to_empty, now, self.tel.as_mut(), |line| {
+            background(line, now)
+        })?;
         if lines > 0 {
-            if self.tel.wants(TraceDetail::Coarse) {
-                let depth = self.lanes[rank]
-                    .cache
-                    .as_ref()
-                    .map_or(0, |wc| wc.occupancy() as u32);
-                self.tel.record(&TelemetryEvent::WriteCacheDrain {
-                    at: self.now,
-                    lines,
-                    depth,
-                });
-            }
-            self.issue(rank)?;
+            self.issue(rank);
         }
         Ok(lines > 0)
     }
@@ -497,35 +358,22 @@ impl ServeEngine {
     /// Process all bank completions scheduled at or before `t`, then move
     /// the clock to `t`.
     fn advance_to(&mut self, t: Ps) -> Result<(), PcmError> {
-        while let Some(&(ct, rank, bank, epoch)) = self.pending.iter().next() {
+        while let Some(&(ct, rank, bank, epoch)) = self.pending.first() {
             if ct > t {
                 break;
             }
-            self.pending.remove(&(ct, rank, bank, epoch));
+            self.pending.pop_first();
             self.now = self.now.max(ct);
             let rank = rank as usize;
-            let reqs = self.lanes[rank].ctrl.complete(bank, epoch);
-            if !reqs.is_empty() && self.tel.wants(TraceDetail::Fine) {
-                self.tel.record(&TelemetryEvent::BankIdle {
-                    at: ct,
-                    bank: bank as u32,
-                });
-            }
-            for req in reqs {
+            for req in self.lanes[rank].complete(bank, epoch, ct, self.tel.as_mut()) {
                 if req.id == BACKGROUND_ID {
                     // A write-cache drain finishing its trip to the banks;
                     // the submitter was answered back at admission.
                     continue;
                 }
-                self.record_done(Completion {
-                    id: req.id,
-                    tenant: req.core as u32,
-                    kind: req.kind,
-                    at: ct,
-                    latency: ct.saturating_sub(req.arrival),
-                });
+                self.record_done(&req, ct);
             }
-            self.issue(rank)?;
+            self.issue(rank);
         }
         self.now = self.now.max(t);
         Ok(())
@@ -533,20 +381,35 @@ impl ServeEngine {
 
     /// Let one rank's controller fill its free banks; track the new
     /// completions.
-    fn issue(&mut self, rank: usize) -> Result<(), PcmError> {
-        let now = self.now;
-        let lane = &mut self.lanes[rank];
-        let issued =
-            lane.ctrl
-                .try_issue(now, &mut lane.memory, &mut lane.content, self.tel.as_mut());
-        for i in issued {
+    fn issue(&mut self, rank: usize) {
+        for i in self.lanes[rank].try_issue(self.now, self.tel.as_mut()) {
             self.pending
                 .insert((i.completion, rank as u32, i.bank, i.epoch));
         }
-        Ok(())
     }
 
-    fn record_done(&mut self, c: Completion) {
+    /// Number an accepted request (tenant `tenant`, arriving at `at`).
+    fn admit(&mut self, tenant: u32, kind: AccessKind, addr: PhysAddr, at: Ps) -> MemRequest {
+        let id = self.next_id;
+        self.next_id += 1;
+        MemRequest {
+            id,
+            addr,
+            kind,
+            core: tenant as usize,
+            arrival: at,
+        }
+    }
+
+    /// Report `req` finished at `at`.
+    fn record_done(&mut self, req: &MemRequest, at: Ps) {
+        let c = Completion {
+            id: req.id,
+            tenant: req.core as u32,
+            kind: req.kind,
+            at,
+            latency: at.saturating_sub(req.arrival),
+        };
         self.stats.served += 1;
         if self.tel.wants(TraceDetail::Fine) {
             self.tel.record(&TelemetryEvent::RequestDone {
@@ -709,6 +572,82 @@ mod tests {
         assert!(wc.read_hits > 0, "reads hit cached dirty lines");
         let (_, _, c2) = run();
         assert_eq!(c1, c2, "completion stream is bit-identical");
+    }
+
+    /// Cross-commit pin of the serving engine's write-cache paths on two
+    /// ranks (read-back hits, coalescing, evictions, watermark drains,
+    /// the final drain to empty): the completion stream and the Fine
+    /// trace must stay byte for byte what they were before the
+    /// memory-side lane was shared with the batch simulator.
+    #[test]
+    fn write_cache_two_rank_golden() {
+        use pcm_telemetry::JsonlSink;
+        let fnv1a = |h: u64, bytes: &[u8]| {
+            bytes
+                .iter()
+                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+        };
+        let mut cfg = quick_cfg(2);
+        cfg.system = SystemConfig::builder()
+            .small_caches()
+            .ranks(2)
+            .write_cache(16)
+            .build()
+            .unwrap();
+        let path =
+            std::env::temp_dir().join(format!("pcm_serve_wc_golden_{}.jsonl", std::process::id()));
+        let tel = JsonlSink::create(&path, TraceDetail::Fine).unwrap();
+        let mut e = ServeEngine::new(cfg, Box::new(tel)).unwrap();
+        let mut t = Ps::ZERO;
+        for i in 0..900u64 {
+            let line = (i / 3 * 53 % 389) * 64 * 17;
+            let (kind, addr) = match i % 3 {
+                0 => (AccessKind::Write, line),
+                // Read back the line just written: a DRAM-tier hit.
+                1 => (AccessKind::Read, line),
+                _ => (AccessKind::Read, i * 8192),
+            };
+            e.submit((i % 2) as u32, kind, addr, t).unwrap();
+            t += Ps::from_ns(30);
+        }
+        e.drain().unwrap();
+        let done = e.take_completions();
+        let wc = e.write_cache_stats().expect("tier enabled");
+        drop(e);
+        let trace = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(wc.read_hits > 0 && wc.drained > 0);
+        let h = fnv1a(0xcbf2_9ce4_8422_2325, format!("{done:?}{wc:?}").as_bytes());
+        let h = fnv1a(h, &trace);
+        assert_eq!(h, 0x492c_71c3_483d_3b88, "serve write-cache run drifted");
+    }
+
+    #[test]
+    fn tetris_knobs_reach_every_rank() {
+        let write_latency = |analysis_overhead: Option<Ps>| {
+            let mut cfg = quick_cfg(2);
+            cfg.system.mem.select = pcm_memsim::SchemeSelect::Tetris;
+            if let Some(a) = analysis_overhead {
+                cfg.system.tetris.analysis_overhead = a;
+            }
+            let mut e = ServeEngine::new(cfg, Box::new(NullSink)).unwrap();
+            let mut t = Ps::ZERO;
+            for i in 0..256u64 {
+                e.submit(0, AccessKind::Write, i * 64, t).unwrap();
+                t += Ps::from_ns(200);
+            }
+            e.drain().unwrap();
+            assert_eq!(e.stats().shed, 0);
+            e.take_completions()
+                .iter()
+                .map(|c| c.latency.0)
+                .sum::<u64>()
+        };
+        assert_ne!(
+            write_latency(Some(Ps::ZERO)),
+            write_latency(None),
+            "cfg.system.tetris must configure the serving lanes' scheme"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 
 use tetris_experiments::ablation::sample_demands;
-use tetris_experiments::{run_one, RunConfig, SchemeKind, WorkloadProfile};
+use tetris_experiments::{run_one, RunConfig, SchemeSelect, WorkloadProfile};
 use tetris_write::{analyze, analyze_batch, render_gantt, TetrisConfig};
 
 fn main() {
@@ -46,7 +46,7 @@ fn main() {
     let mut baseline = None;
     for batch_writes in [1usize, 2, 4] {
         run_cfg.system.controller.batch_writes = batch_writes;
-        let r = run_one(p, SchemeKind::Tetris, &run_cfg);
+        let r = run_one(p, SchemeSelect::Tetris, &run_cfg);
         let runtime_us = r.runtime.as_ns_f64() / 1000.0;
         let norm = match baseline {
             None => {

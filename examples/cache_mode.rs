@@ -6,7 +6,7 @@
 //! ```
 
 use pcm_memsim::prelude::*;
-use tetris_experiments::SchemeKind;
+use tetris_experiments::SchemeSelect;
 
 fn main() {
     let cfg = SystemConfig::builder()
@@ -37,10 +37,10 @@ fn main() {
         ops
     };
 
-    for kind in [SchemeKind::Dcw, SchemeKind::Tetris] {
+    for kind in [SchemeSelect::Dcw, SchemeSelect::Tetris] {
         let mut cfg = cfg;
         cfg.level = TraceLevel::CpuLevel;
-        cfg.mem.select = kind.select();
+        cfg.mem.select = kind;
         let mut sys = System::build(cfg)
             .expect("valid config")
             .with_trace(Box::new(VecTrace::new(vec![mk_core(0), mk_core(1)])))

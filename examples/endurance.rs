@@ -8,7 +8,7 @@
 
 use pcm_device::{FsmExecutor, PcmBank, ScheduledBitWrite, WriteOp};
 use pcm_memsim::prelude::*;
-use tetris_experiments::{run_one, RunConfig, SchemeKind, WorkloadProfile};
+use tetris_experiments::{run_one, RunConfig, SchemeSelect, WorkloadProfile};
 use tetris_write::{build_jobs, read_stage};
 
 fn main() {
@@ -81,11 +81,11 @@ fn system_level() {
     );
     let mut baseline_wear = None;
     for kind in [
-        SchemeKind::Conventional,
-        SchemeKind::Dcw,
-        SchemeKind::TwoStage,
-        SchemeKind::ThreeStage,
-        SchemeKind::Tetris,
+        SchemeSelect::Conventional,
+        SchemeSelect::Dcw,
+        SchemeSelect::TwoStage,
+        SchemeSelect::ThreeStage,
+        SchemeSelect::Tetris,
     ] {
         let r = run_one(p, kind, &cfg);
         let per_write = (r.cell_sets + r.cell_resets) as f64 / r.mem_writes.max(1) as f64;

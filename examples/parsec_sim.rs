@@ -5,7 +5,7 @@
 //! cargo run --release --example parsec_sim -- vips [instructions-per-core]
 //! ```
 
-use tetris_experiments::{run_one, RunConfig, SchemeKind, WorkloadProfile};
+use tetris_experiments::{run_one, RunConfig, SchemeSelect, WorkloadProfile};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,7 +31,7 @@ fn main() {
     );
 
     let mut baseline: Option<(f64, f64, f64, f64)> = None;
-    for kind in SchemeKind::COMPARED {
+    for kind in SchemeSelect::COMPARED {
         let r = run_one(profile, kind, &cfg);
         let runtime_us = r.runtime.as_ns_f64() / 1000.0;
         let ipc = r.ipc();
@@ -55,7 +55,7 @@ fn main() {
                 ))
             }
             Some((bt, br, bw, bipc)) => {
-                if kind == SchemeKind::Tetris {
+                if kind == SchemeSelect::Tetris {
                     println!(
                         "\nTetris vs baseline: runtime -{:.0}%, read latency -{:.0}%, write latency -{:.0}%, IPC {:.2}x",
                         (1.0 - runtime_us / bt) * 100.0,

@@ -161,8 +161,8 @@ fn cpu_mode_conserves_work() {
 fn end_to_end_determinism() {
     let p = WorkloadProfile::by_name("dedup").unwrap();
     for kind in [
-        tetris_experiments::SchemeKind::Dcw,
-        tetris_experiments::SchemeKind::Tetris,
+        tetris_experiments::SchemeSelect::Dcw,
+        tetris_experiments::SchemeSelect::Tetris,
     ] {
         let cfg = tetris_experiments::RunConfig::builder()
             .instructions_per_core(150_000)
@@ -250,7 +250,7 @@ fn traced_run_roundtrips_through_jsonl() {
         .unwrap();
     let r = tetris_experiments::run_one_traced(
         p,
-        tetris_experiments::SchemeKind::Tetris,
+        tetris_experiments::SchemeSelect::Tetris,
         &cfg,
         Box::new(sink),
     );

@@ -4,7 +4,7 @@
 
 use pcm_workloads::{WorkloadProfile, ALL_PROFILES};
 use tetris_experiments::figures::{self, MatrixView};
-use tetris_experiments::{run_matrix, run_one, RunConfig, SchemeKind};
+use tetris_experiments::{run_matrix, run_one, RunConfig, SchemeSelect};
 
 fn cfg() -> RunConfig {
     RunConfig::builder()
@@ -22,10 +22,10 @@ fn mean(v: &[f64]) -> f64 {
 fn matrix() -> (
     Vec<pcm_memsim::SimResult>,
     Vec<WorkloadProfile>,
-    Vec<SchemeKind>,
+    Vec<SchemeSelect>,
 ) {
     let profiles: Vec<WorkloadProfile> = ALL_PROFILES.to_vec();
-    let schemes: Vec<SchemeKind> = SchemeKind::COMPARED.to_vec();
+    let schemes: Vec<SchemeSelect> = SchemeSelect::COMPARED.to_vec();
     let results = run_matrix(&profiles, &schemes, &cfg());
     (results, profiles, schemes)
 }
@@ -132,8 +132,8 @@ fn blackscholes_swaptions_write_anomaly() {
     // the analysis overhead can even make it slightly worse.
     for name in ["blackscholes", "swaptions"] {
         let p = WorkloadProfile::by_name(name).unwrap();
-        let dcw = run_one(p, SchemeKind::Dcw, &cfg());
-        let tetris = run_one(p, SchemeKind::Tetris, &cfg());
+        let dcw = run_one(p, SchemeSelect::Dcw, &cfg());
+        let tetris = run_one(p, SchemeSelect::Tetris, &cfg());
         let norm = tetris.write_latency.mean_ns() / dcw.write_latency.mean_ns();
         assert!(
             norm > 0.80,
@@ -153,8 +153,8 @@ fn heavy_workloads_show_biggest_gains() {
     let c = cfg();
     let gain = |name: &str| {
         let p = WorkloadProfile::by_name(name).unwrap();
-        let dcw = run_one(p, SchemeKind::Dcw, &c);
-        let t = run_one(p, SchemeKind::Tetris, &c);
+        let dcw = run_one(p, SchemeSelect::Dcw, &c);
+        let t = run_one(p, SchemeSelect::Tetris, &c);
         dcw.runtime.as_ns_f64() / t.runtime.as_ns_f64()
     };
     let heavy = gain("vips");
