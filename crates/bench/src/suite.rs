@@ -19,9 +19,7 @@
 //! * `canonical/writecache/*` — the DRAM write-cache tier's per-store
 //!   coalesce hit and background drain cycle.
 //! * `canonical/lint/*` — the pcm-lint static analyzer over the real
-//!   workspace: a cold parse (lex + item parse + every rule) against a
-//!   warm cached scan (fingerprint hits + graph rules only), pinning the
-//!   incremental-scan speedup the CI static-analysis job relies on.
+//!   workspace: one full scan (lex + item parse + every rule).
 //! * `canonical/system/*` — a quick end-to-end run under the fixed and
 //!   adaptive scheduling policies (the sched-ablation surface).
 //!
@@ -184,9 +182,8 @@ pub fn canonical_suite(c: &mut Criterion, quick: bool) {
         g.finish();
     }
 
-    // --- static-analysis scan: cold parse vs warm cached scan ----------
+    // --- static-analysis scan over the real workspace ------------------
     {
-        use pcm_lint::cache::Cache;
         use pcm_lint::workspace::{find_root, source_paths};
         let root = find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
             .expect("bench runs inside the workspace");
@@ -196,32 +193,16 @@ pub fn canonical_suite(c: &mut Criterion, quick: bool) {
             .map(|(rel, abs)| (rel, std::fs::read_to_string(&abs).expect("source readable")))
             .collect();
         let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).ok();
-        let warm_cache = pcm_lint::scan(&sources, ci.clone(), &Cache::empty(), 0).cache;
         let mut g = c.benchmark_group("canonical/lint");
         g.sample_size(if quick { 5 } else { 10 });
         g.throughput(Throughput::Elements(sources.len() as u64));
+        // `cold_parse` is a full scan; the id stays so its trajectory
+        // row continues.
         g.bench_function("cold_parse", |b| {
             b.iter(|| {
-                black_box(pcm_lint::scan(
-                    black_box(&sources),
-                    ci.clone(),
-                    &Cache::empty(),
-                    0,
-                ))
-                .diags
-                .len()
-            })
-        });
-        g.bench_function("warm_scan", |b| {
-            b.iter(|| {
-                black_box(pcm_lint::scan(
-                    black_box(&sources),
-                    ci.clone(),
-                    &warm_cache,
-                    0,
-                ))
-                .diags
-                .len()
+                black_box(pcm_lint::scan(black_box(&sources), ci.clone(), 0))
+                    .diags
+                    .len()
             })
         });
         g.finish();

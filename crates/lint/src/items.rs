@@ -16,16 +16,9 @@
 //! approximations each consumer makes are documented on the rule that
 //! makes them; this module's contract is only that what it *does* report
 //! is positionally exact.
-//!
-//! Everything here is [`JsonCodec`]-serializable with compact positional
-//! arrays — the warm-scan cache (`target/lint-cache.json`) persists
-//! `FileFacts` verbatim so unchanged files skip lexing and parsing
-//! entirely.
 
 use crate::lexer::{Tok, TokKind};
 use crate::units::{classify_expr, UnitClass};
-use pcm_types::json::field_error;
-use pcm_types::{Json, JsonCodec, JsonError};
 
 /// What kind of item a span is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,43 +47,6 @@ pub enum ItemKind {
     MacroDef,
     /// `extern crate …;`
     ExternCrate,
-}
-
-impl ItemKind {
-    fn to_u64(self) -> u64 {
-        match self {
-            ItemKind::Module => 0,
-            ItemKind::Fn => 1,
-            ItemKind::Struct => 2,
-            ItemKind::Enum => 3,
-            ItemKind::Trait => 4,
-            ItemKind::Impl => 5,
-            ItemKind::Const => 6,
-            ItemKind::Static => 7,
-            ItemKind::TypeAlias => 8,
-            ItemKind::Use => 9,
-            ItemKind::MacroDef => 10,
-            ItemKind::ExternCrate => 11,
-        }
-    }
-
-    fn from_u64(v: u64) -> Result<ItemKind, JsonError> {
-        Ok(match v {
-            0 => ItemKind::Module,
-            1 => ItemKind::Fn,
-            2 => ItemKind::Struct,
-            3 => ItemKind::Enum,
-            4 => ItemKind::Trait,
-            5 => ItemKind::Impl,
-            6 => ItemKind::Const,
-            7 => ItemKind::Static,
-            8 => ItemKind::TypeAlias,
-            9 => ItemKind::Use,
-            10 => ItemKind::MacroDef,
-            11 => ItemKind::ExternCrate,
-            _ => return Err(field_error("item.kind")),
-        })
-    }
 }
 
 /// A named, typed slot: a `fn` parameter, a `struct` field, or an `enum`
@@ -224,8 +180,7 @@ pub struct StrRef {
     pub lo: usize,
 }
 
-/// Everything the cross-file rules need from one file. Cached by content
-/// fingerprint; must round-trip through [`JsonCodec`] byte-exactly.
+/// Everything the cross-file rules need from one file.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FileFacts {
     /// All items, post-order for containers: a `mod`/`impl`'s children
@@ -1174,281 +1129,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// JSON codec: compact positional arrays, cache-stable.
-// ---------------------------------------------------------------------------
-
-fn ju(v: &Json, what: &'static str) -> Result<u64, JsonError> {
-    v.as_u64().ok_or_else(|| field_error(what))
-}
-
-fn js(v: &Json, what: &'static str) -> Result<String, JsonError> {
-    v.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| field_error(what))
-}
-
-fn jb(v: &Json, what: &'static str) -> Result<bool, JsonError> {
-    v.as_bool().ok_or_else(|| field_error(what))
-}
-
-fn jarr<'a>(v: &'a Json, n: usize, what: &'static str) -> Result<&'a [Json], JsonError> {
-    match v.as_array() {
-        Some(a) if a.len() >= n => Ok(a),
-        _ => Err(field_error(what)),
-    }
-}
-
-fn jvec<T: JsonCodec>(v: &Json, what: &'static str) -> Result<Vec<T>, JsonError> {
-    v.as_array()
-        .ok_or_else(|| field_error(what))?
-        .iter()
-        .map(T::from_json)
-        .collect()
-}
-
-impl JsonCodec for Param {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![
-            Json::str(&self.name),
-            Json::str(&self.ty),
-            Json::UInt(self.lo as u64),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Param, JsonError> {
-        let a = jarr(v, 3, "param")?;
-        Ok(Param {
-            name: js(&a[0], "param.name")?,
-            ty: js(&a[1], "param.ty")?,
-            lo: ju(&a[2], "param.lo")? as usize,
-        })
-    }
-}
-
-impl JsonCodec for CallArg {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![
-            Json::UInt(self.class.to_u64()),
-            Json::UInt(self.lo as u64),
-            Json::UInt(self.len as u64),
-            Json::str(&self.ident),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<CallArg, JsonError> {
-        let a = jarr(v, 4, "arg")?;
-        Ok(CallArg {
-            class: UnitClass::from_u64(ju(&a[0], "arg.class")?),
-            lo: ju(&a[1], "arg.lo")? as usize,
-            len: ju(&a[2], "arg.len")? as usize,
-            ident: js(&a[3], "arg.ident")?,
-        })
-    }
-}
-
-impl JsonCodec for CallSite {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![
-            Json::str(&self.callee),
-            Json::UInt(self.lo as u64),
-            Json::Arr(self.args.iter().map(JsonCodec::to_json).collect()),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<CallSite, JsonError> {
-        let a = jarr(v, 3, "call")?;
-        Ok(CallSite {
-            callee: js(&a[0], "call.callee")?,
-            lo: ju(&a[1], "call.lo")? as usize,
-            args: jvec(&a[2], "call.args")?,
-        })
-    }
-}
-
-impl JsonCodec for LetBind {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![
-            Json::str(&self.name),
-            Json::UInt(self.class.to_u64()),
-            Json::UInt(self.lo as u64),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<LetBind, JsonError> {
-        let a = jarr(v, 3, "let")?;
-        Ok(LetBind {
-            name: js(&a[0], "let.name")?,
-            class: UnitClass::from_u64(ju(&a[1], "let.class")?),
-            lo: ju(&a[2], "let.lo")? as usize,
-        })
-    }
-}
-
-impl JsonCodec for FieldAssign {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![
-            Json::str(&self.field),
-            Json::UInt(self.class.to_u64()),
-            Json::UInt(self.lo as u64),
-            Json::UInt(self.len as u64),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<FieldAssign, JsonError> {
-        let a = jarr(v, 4, "assign")?;
-        Ok(FieldAssign {
-            field: js(&a[0], "assign.field")?,
-            class: UnitClass::from_u64(ju(&a[1], "assign.class")?),
-            lo: ju(&a[2], "assign.lo")? as usize,
-            len: ju(&a[3], "assign.len")? as usize,
-        })
-    }
-}
-
-impl JsonCodec for Item {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![
-            Json::UInt(self.kind.to_u64()),
-            Json::str(&self.name),
-            Json::UInt(self.lo as u64),
-            Json::UInt(self.hi as u64),
-            Json::Bool(self.in_test),
-            Json::str(&self.self_ty),
-            Json::str(&self.ty),
-            Json::UInt(self.depth as u64),
-            Json::Arr(self.params.iter().map(JsonCodec::to_json).collect()),
-            Json::Arr(self.fields.iter().map(JsonCodec::to_json).collect()),
-            Json::Arr(self.calls.iter().map(JsonCodec::to_json).collect()),
-            Json::Arr(self.lets.iter().map(JsonCodec::to_json).collect()),
-            Json::Arr(self.assigns.iter().map(JsonCodec::to_json).collect()),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Item, JsonError> {
-        let a = jarr(v, 13, "item")?;
-        Ok(Item {
-            kind: ItemKind::from_u64(ju(&a[0], "item.kind")?)?,
-            name: js(&a[1], "item.name")?,
-            lo: ju(&a[2], "item.lo")? as usize,
-            hi: ju(&a[3], "item.hi")? as usize,
-            in_test: jb(&a[4], "item.in_test")?,
-            self_ty: js(&a[5], "item.self_ty")?,
-            ty: js(&a[6], "item.ty")?,
-            depth: ju(&a[7], "item.depth")? as u32,
-            params: jvec(&a[8], "item.params")?,
-            fields: jvec(&a[9], "item.fields")?,
-            calls: jvec(&a[10], "item.calls")?,
-            lets: jvec(&a[11], "item.lets")?,
-            assigns: jvec(&a[12], "item.assigns")?,
-        })
-    }
-}
-
-impl JsonCodec for PathRef {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![
-            Json::str(&self.head),
-            Json::str(&self.tail),
-            Json::UInt(self.lo as u64),
-            Json::Bool(self.in_test),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<PathRef, JsonError> {
-        let a = jarr(v, 4, "path")?;
-        Ok(PathRef {
-            head: js(&a[0], "path.head")?,
-            tail: js(&a[1], "path.tail")?,
-            lo: ju(&a[2], "path.lo")? as usize,
-            in_test: jb(&a[3], "path.in_test")?,
-        })
-    }
-}
-
-impl JsonCodec for FieldAccess {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![
-            Json::str(&self.name),
-            Json::UInt(self.lo as u64),
-            Json::Bool(self.write),
-            Json::Bool(self.in_test),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<FieldAccess, JsonError> {
-        let a = jarr(v, 4, "access")?;
-        Ok(FieldAccess {
-            name: js(&a[0], "access.name")?,
-            lo: ju(&a[1], "access.lo")? as usize,
-            write: jb(&a[2], "access.write")?,
-            in_test: jb(&a[3], "access.in_test")?,
-        })
-    }
-}
-
-impl JsonCodec for StrRef {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![Json::str(&self.text), Json::UInt(self.lo as u64)])
-    }
-
-    fn from_json(v: &Json) -> Result<StrRef, JsonError> {
-        let a = jarr(v, 2, "str")?;
-        Ok(StrRef {
-            text: js(&a[0], "str.text")?,
-            lo: ju(&a[1], "str.lo")? as usize,
-        })
-    }
-}
-
-impl JsonCodec for FileFacts {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "items",
-                Json::Arr(self.items.iter().map(JsonCodec::to_json).collect()),
-            ),
-            (
-                "paths",
-                Json::Arr(self.path_refs.iter().map(JsonCodec::to_json).collect()),
-            ),
-            (
-                "accesses",
-                Json::Arr(self.field_accesses.iter().map(JsonCodec::to_json).collect()),
-            ),
-            (
-                "strings",
-                Json::Arr(self.strings.iter().map(JsonCodec::to_json).collect()),
-            ),
-            (
-                "arms",
-                Json::Arr(
-                    self.subcommand_arms
-                        .iter()
-                        .map(JsonCodec::to_json)
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<FileFacts, JsonError> {
-        Ok(FileFacts {
-            items: jvec(v.get("items").ok_or_else(|| field_error("items"))?, "items")?,
-            path_refs: jvec(v.get("paths").ok_or_else(|| field_error("paths"))?, "paths")?,
-            field_accesses: jvec(
-                v.get("accesses").ok_or_else(|| field_error("accesses"))?,
-                "accesses",
-            )?,
-            strings: jvec(
-                v.get("strings").ok_or_else(|| field_error("strings"))?,
-                "strings",
-            )?,
-            subcommand_arms: jvec(v.get("arms").ok_or_else(|| field_error("arms"))?, "arms")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1599,17 +1279,6 @@ mod tests {
         assert_eq!(arms, ["run", "report"]);
         let strs: Vec<&str> = f.strings.iter().map(|s| s.text.as_str()).collect();
         assert_eq!(strs, ["run", "report"]);
-    }
-
-    #[test]
-    fn facts_round_trip_json() {
-        let f = facts(
-            "pub struct Cfg { at_ns: u64 }\n\
-             impl Cfg { fn set(&mut self, v_cycles: u64) { self.at_ns = v_cycles; } }\n\
-             #[cfg(test)] mod t { fn x() { Cfg::default(); } }\n",
-        );
-        let back = FileFacts::from_json_str(&f.to_json_string()).expect("round-trip");
-        assert_eq!(f, back);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p pcm-lint -- --workspace [--json] [--json-out FILE]
 //!                          [--allow <rule>]... [--root DIR] [--list-rules]
-//!                          [--no-cache] [--cache FILE] [--threads N]
+//!                          [--threads N]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage/IO error.
@@ -15,7 +15,7 @@ use std::path::PathBuf;
 fn usage() -> ! {
     eprintln!(
         "usage: pcm-lint --workspace [--json] [--json-out FILE] [--allow RULE]... \
-         [--root DIR] [--list-rules] [--no-cache] [--cache FILE] [--threads N]"
+         [--root DIR] [--list-rules] [--threads N]"
     );
     std::process::exit(2);
 }
@@ -28,8 +28,6 @@ fn main() {
     let mut root: Option<PathBuf> = None;
     let mut list_rules = false;
     let mut workspace_flag = false;
-    let mut use_cache = true;
-    let mut cache_path: Option<PathBuf> = None;
     let mut threads = 0usize;
     let mut i = 0;
     while i < args.len() {
@@ -37,11 +35,6 @@ fn main() {
             "--workspace" => workspace_flag = true,
             "--json" => json_stdout = true,
             "--list-rules" => list_rules = true,
-            "--no-cache" => use_cache = false,
-            "--cache" => {
-                i += 1;
-                cache_path = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
             "--threads" => {
                 i += 1;
                 threads = args
@@ -93,13 +86,7 @@ fn main() {
             eprintln!("cannot locate the workspace root (no Cargo.toml with [workspace])");
             std::process::exit(2);
         });
-    let opts = RunOptions {
-        allow,
-        use_cache,
-        cache_path,
-        threads,
-    };
-    let report = run_with(&root, &opts).unwrap_or_else(|e| {
+    let report = run_with(&root, &RunOptions { allow, threads }).unwrap_or_else(|e| {
         eprintln!("pcm-lint: {e}");
         std::process::exit(2);
     });
@@ -116,10 +103,8 @@ fn main() {
             println!("{}\n", d.render());
         }
         eprintln!(
-            "pcm-lint: {} file(s) scanned ({} cached, {} parsed), {} finding(s), {} waived",
+            "pcm-lint: {} file(s) scanned, {} finding(s), {} waived",
             report.files_scanned,
-            report.cache_hits,
-            report.cache_misses,
             report.findings.len(),
             report.waived.len()
         );

@@ -8,8 +8,7 @@
 //! rule reads the `Some("…") =>` dispatch arms the item parser records in
 //! [`crate::items::FileFacts::subcommand_arms`] and requires each
 //! subcommand name to appear as a whitespace-delimited word in
-//! `.github/workflows/ci.yml`. Working from facts (not tokens) keeps the
-//! rule valid on cache-restored files, which carry no token stream.
+//! `.github/workflows/ci.yml`.
 
 use super::Rule;
 use crate::diag::Diagnostic;

@@ -10,13 +10,12 @@
 //! number with a false caption.
 //!
 //! Mechanics: for each field of the target structs, count `.field` read
-//! accesses across the whole workspace (facts layer, so cache-restored
-//! files participate). Accesses inside builder impls (`self_ty`
-//! containing `Builder`), inside `validate` functions, and inside tests
-//! don't count — those surfaces touch every field by construction.
-//! Matching is name-based: a same-named field on an unrelated struct
-//! counts as a read, which can *hide* a dead knob but never flags a live
-//! one.
+//! accesses across the whole workspace (facts layer). Accesses inside
+//! builder impls (`self_ty` containing `Builder`), inside `validate`
+//! functions, and inside tests don't count — those surfaces touch every
+//! field by construction. Matching is name-based: a same-named field on
+//! an unrelated struct counts as a read, which can *hide* a dead knob but
+//! never flags a live one.
 
 use super::Rule;
 use crate::diag::Diagnostic;

@@ -6,14 +6,12 @@
 //!
 //! * **File rules** ([`FileRule`]) see one file's token stream at a time.
 //!   Their findings depend only on that file's bytes, so the scan runs
-//!   them at parse time — in parallel across files — and caches their
-//!   findings alongside the parsed facts (`target/lint-cache.json`).
+//!   them at parse time, in parallel across files.
 //! * **Graph rules** ([`Rule`] entries in [`graph_rules`]) see the whole
 //!   workspace through the parsed [`crate::items::FileFacts`] and the
-//!   [`crate::graph::ItemGraph`]. They run on every scan (warm or cold) —
-//!   their findings depend on *other* files, which a per-file cache
-//!   cannot key — and never touch raw tokens, so cache-restored files
-//!   (which skip lexing) are first-class inputs.
+//!   [`crate::graph::ItemGraph`]. Their findings depend on *other* files,
+//!   so they run once after every file is parsed, and they never touch
+//!   raw tokens.
 //!
 //! All rules are syntactic — they work on tokens and recovered item
 //! structure, not on types — so each one documents the approximation it
@@ -47,7 +45,7 @@ pub trait Rule {
 }
 
 /// A rule whose findings depend on a single file's contents only. Runs in
-/// parallel during the scan; findings are cached per file.
+/// parallel during the scan.
 pub trait FileRule: Sync {
     /// Stable identifier (kebab-case; referenced by waivers and docs).
     fn id(&self) -> &'static str;
@@ -74,8 +72,7 @@ impl Rule for PerFile {
     }
 }
 
-/// All rule IDs, in catalog order (also the JSON decoder's whitelist and
-/// the cache's rule-catalog stamp).
+/// All rule IDs, in catalog order (also the JSON decoder's whitelist).
 pub const RULE_IDS: &[&str] = &[
     "no-wall-clock",
     "no-unordered-iteration",

@@ -34,27 +34,6 @@ pub enum UnitClass {
     Cycles,
 }
 
-impl UnitClass {
-    /// Stable integer encoding for the facts cache.
-    pub fn to_u64(self) -> u64 {
-        match self {
-            UnitClass::Neutral => 0,
-            UnitClass::Ns => 1,
-            UnitClass::Cycles => 2,
-        }
-    }
-
-    /// Decode [`UnitClass::to_u64`]; unknown values degrade to `Neutral`
-    /// (a stale cache must never invent findings).
-    pub fn from_u64(v: u64) -> UnitClass {
-        match v {
-            1 => UnitClass::Ns,
-            2 => UnitClass::Cycles,
-            _ => UnitClass::Neutral,
-        }
-    }
-}
-
 /// Converter names: calling one is an explicit unit statement, and the
 /// call's *result* class (second column) replaces whatever fed it.
 const CONVERTERS: &[(&str, UnitClass)] = &[

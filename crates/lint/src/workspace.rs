@@ -35,14 +35,11 @@ pub struct SourceFile {
     pub crate_name: String,
     /// Full file contents.
     pub src: String,
-    /// Complete token cover of `src` — **empty for cache-restored files**,
-    /// which skip lexing entirely (their per-file diagnostics were cached
-    /// alongside [`SourceFile::facts`], so no rule needs their tokens).
+    /// Complete token cover of `src`.
     pub toks: Vec<Tok>,
     /// Byte offsets where each line starts (line 1 at `starts[0]`).
     line_starts: Vec<usize>,
-    /// Byte ranges covered by `#[cfg(test)]` / `#[test]` items (empty for
-    /// cache-restored files; the facts carry per-item `in_test` flags).
+    /// Byte ranges covered by `#[cfg(test)]` / `#[test]` items.
     pub test_regions: Vec<(usize, usize)>,
     /// Parsed item structure and cross-file facts (see [`crate::items`]).
     pub facts: FileFacts,
@@ -63,20 +60,6 @@ impl SourceFile {
             src,
             toks,
             test_regions,
-            facts,
-        }
-    }
-
-    /// Rebuild a file from the warm cache: the source text (needed for
-    /// diagnostic snippets) plus previously parsed facts, with no lexing.
-    pub fn restored(path: &str, src: String, facts: FileFacts) -> SourceFile {
-        SourceFile {
-            path: path.to_string(),
-            crate_name: crate_of(path),
-            line_starts: line_starts(&src),
-            src,
-            toks: Vec::new(),
-            test_regions: Vec::new(),
             facts,
         }
     }

@@ -454,3 +454,23 @@ fn workspace_is_clean() {
     );
     assert!(report.files_scanned > 100, "whole tree scanned");
 }
+
+/// The parallel scan is the only thing that could make two runs over the
+/// same tree differ: one worker and four must report the same findings
+/// and waivers, in the same order, field for field.
+#[test]
+fn report_does_not_depend_on_thread_count() {
+    let root = pcm_lint::workspace::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("workspace root");
+    let run = |threads| {
+        let opts = pcm_lint::RunOptions {
+            allow: Vec::new(),
+            threads,
+        };
+        pcm_lint::run_with(&root, &opts).expect("lint runs")
+    };
+    let (one, four) = (run(1), run(4));
+    assert_eq!(one.findings, four.findings);
+    assert_eq!(one.waived, four.waived);
+    assert_eq!(one.files_scanned, four.files_scanned);
+}

@@ -11,7 +11,7 @@
 use pcm_lint::items::{self, FileFacts, ItemKind};
 use pcm_lint::lexer::{lex, test_regions};
 use pcm_types::propcheck::{any_bool, one_of, vec_of, Strategy};
-use pcm_types::{prop_assert, prop_assert_eq, propcheck, JsonCodec};
+use pcm_types::{prop_assert, prop_assert_eq, propcheck};
 
 /// One well-formed top-level item per template, covering every dispatch
 /// arm of the item parser (attrs, generics, impl-for, nested items,
@@ -129,17 +129,5 @@ propcheck! {
                 gated
             );
         }
-    }
-
-    /// Facts round-trip through the cache's JSON codec byte-exactly:
-    /// decode(encode(f)) == f and re-encoding is byte-identical, so a
-    /// cache hit can never change a scan's output.
-    fn facts_round_trip_json_byte_exactly(frags in soup()) {
-        let src = frags.join("\n");
-        let facts = parse(&src);
-        let text = facts.to_json_string();
-        let back = FileFacts::from_json_str(&text).expect("facts decode");
-        prop_assert!(back == facts, "decoded facts differ");
-        prop_assert_eq!(back.to_json_string(), text, "re-encoding not byte-stable");
     }
 }

@@ -195,11 +195,6 @@ pub struct ControllerConfig {
     /// Writes drained together per bank as one batched operation (Tetris
     /// inter-line packing; 1 = the paper's per-line behaviour).
     pub batch_writes: usize,
-    /// Coalesce queued writes to the same line (DWC, Xia et al., ICS'14 —
-    /// the paper's ref. \[18\]): a newer write-back absorbs an older queued
-    /// one; both complete when the merged write is serviced. Off by
-    /// default (the paper's controller does not consolidate).
-    pub coalesce_writes: bool,
     /// Subarrays per bank (Yue & Zhu, DATE'13 — the paper's ref. \[15\]).
     /// Rows stripe across subarrays; a read may proceed in one subarray
     /// while another subarray of the same bank writes (reads draw
@@ -224,7 +219,6 @@ impl Default for ControllerConfig {
             pause_overhead: Ps::from_ns(4),
             max_pauses_per_write: 4,
             batch_writes: 1,
-            coalesce_writes: false,
             subarrays_per_bank: 1,
             sched: SchedConfig::fixed(),
         }
@@ -424,12 +418,6 @@ impl SystemConfigBuilder {
     /// Enable or disable write pausing.
     pub fn write_pausing(mut self, on: bool) -> Self {
         self.cfg.controller.write_pausing = on;
-        self
-    }
-
-    /// Enable or disable same-line write coalescing (DWC).
-    pub fn coalesce_writes(mut self, on: bool) -> Self {
-        self.cfg.controller.coalesce_writes = on;
         self
     }
 
@@ -653,7 +641,6 @@ mod tests {
             .batch_writes(4)
             .subarrays_per_bank(2)
             .write_pausing(true)
-            .coalesce_writes(true)
             .build()
             .unwrap();
         assert_eq!(cfg.cores, 8);

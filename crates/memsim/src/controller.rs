@@ -26,9 +26,6 @@ struct QueuedReq {
     row: u64,
     bank: usize,
     line: u64,
-    /// Older same-line writes absorbed by this entry (DWC coalescing);
-    /// they complete when this write is serviced.
-    absorbed: Vec<MemRequest>,
 }
 
 /// The request(s) currently occupying a bank (several when a write batch
@@ -83,8 +80,6 @@ pub struct CtrlStats {
     pub drains: u64,
     /// Writes paused to let reads through.
     pub write_pauses: u64,
-    /// Same-line writes coalesced in the queue (DWC).
-    pub writes_coalesced: u64,
     /// Drain writes serviced on a less-utilized bank before the bank
     /// strict FIFO order would have picked (steering policy).
     pub steered_writes: u64,
@@ -231,7 +226,6 @@ impl MemoryController {
             row: d.row,
             bank: lane,
             line: d.line,
-            absorbed: Vec::new(),
         });
         ReadEnqueue::Queued
     }
@@ -251,23 +245,11 @@ impl MemoryController {
     ) {
         assert!(!self.write_queue_full(), "enqueue_write on a full queue");
         let lane = self.lane(flat_bank, d.row);
-        if self.cfg.coalesce_writes {
-            if let Some(existing) = self.write_q.iter_mut().find(|w| w.line == d.line) {
-                // The newer write-back supersedes the queued one; carry the
-                // old request along so its latency is recorded at service.
-                let old = std::mem::replace(&mut existing.req, req);
-                existing.absorbed.push(old);
-                self.stats.writes_coalesced += 1;
-                self.observe_write_depth(req.arrival, tel);
-                return;
-            }
-        }
         self.write_q.push(QueuedReq {
             req,
             row: d.row,
             bank: lane,
             line: d.line,
-            absorbed: Vec::new(),
         });
         self.observe_write_depth(req.arrival, tel);
         // Drain entry at the policy's high mark (queue capacity under the
@@ -449,11 +431,7 @@ impl MemoryController {
                             });
                         }
                     }
-                    let mut reqs: Vec<MemRequest> = Vec::new();
-                    for q in &picked {
-                        reqs.push(q.req);
-                        reqs.extend(q.absorbed.iter().copied());
-                    }
+                    let reqs: Vec<MemRequest> = picked.iter().map(|q| q.req).collect();
                     self.in_flight[bank] = Some(InFlight {
                         reqs: reqs.clone(),
                         epoch: self.epoch,
@@ -893,33 +871,6 @@ mod tests {
         assert!(r2.is_empty(), "write runs to completion: {r2:?}");
         assert_eq!(ctrl.stats.write_pauses, 1);
         let _ = w;
-    }
-
-    #[test]
-    fn coalescing_merges_same_line_writes() {
-        let (_c, mut mem, mut content) = setup();
-        let cfg = ControllerConfig {
-            coalesce_writes: true,
-            ..Default::default()
-        };
-        let mut ctrl = MemoryController::new(cfg, pcm_types::PcmTimings::paper_baseline(), 8);
-        let (d, fb) = decode(&mem, 0x40);
-        ctrl.enqueue_write(write_req(1, 0x40, Ps::ZERO), &d, fb, &mut NullSink);
-        ctrl.enqueue_write(write_req(2, 0x40, Ps::from_ns(10)), &d, fb, &mut NullSink);
-        ctrl.enqueue_write(write_req(3, 0x40, Ps::from_ns(20)), &d, fb, &mut NullSink);
-        let (_, wq) = ctrl.queue_depths();
-        assert_eq!(wq, 1, "three same-line writes hold one slot");
-        assert_eq!(ctrl.stats.writes_coalesced, 2);
-        // Service it: all three requests complete together.
-        ctrl.force_drain();
-        let issued = ctrl.try_issue(Ps::from_ns(30), &mut mem, &mut content, &mut NullSink);
-        assert_eq!(issued.len(), 1);
-        let reqs = ctrl.complete(issued[0].bank, issued[0].epoch);
-        let mut ids: Vec<u64> = reqs.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2, 3]);
-        // Memory saw exactly one line write.
-        assert_eq!(mem.stats().writes, 1);
     }
 
     #[test]

@@ -253,14 +253,11 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src: input, pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(p.err("trailing characters after value"));
         }
         Ok(v)
@@ -298,7 +295,7 @@ fn write_escaped(out: &mut String, s: &str) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -311,7 +308,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -330,7 +327,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.src[self.pos..].starts_with(text) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -409,15 +406,20 @@ impl<'a> Parser<'a> {
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
-        let start = self.pos;
+        // Unescaped bytes are copied a run at a time. A run ends only at
+        // `"`, `\` or a control byte, all ASCII, so it ends on a char
+        // boundary of the (valid UTF-8) input.
+        let mut run = self.pos;
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
+                    out.push_str(&self.src[run..self.pos]);
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
+                    out.push_str(&self.src[run..self.pos]);
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
                     self.pos += 1;
@@ -449,22 +451,10 @@ impl<'a> Parser<'a> {
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
+                    run = self.pos;
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| JsonError {
-                        offset: start,
-                        msg: "invalid UTF-8".into(),
-                    })?;
-                    let c = s.chars().next().ok_or_else(|| JsonError {
-                        offset: start,
-                        msg: "truncated UTF-8 sequence".into(),
-                    })?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => self.pos += 1,
             }
         }
     }
@@ -509,8 +499,7 @@ impl<'a> Parser<'a> {
             }
         }
         // The scanned range is all ASCII (digits, sign, dot, exponent).
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-ASCII byte in number"))?;
+        let text = &self.src[start..self.pos];
         if !is_float {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::UInt(v));
@@ -572,6 +561,20 @@ mod tests {
         assert!(written.contains("\\u0007"));
         let back = Json::parse(&written).unwrap();
         assert_eq!(back.as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn long_mixed_string_round_trips() {
+        // 256 KiB of 1- to 4-byte scalars with escapes between them.
+        let unit = "ascii é € 𝄞 \"q\" back\\slash\n\t\u{01} ";
+        let mut src = String::new();
+        while src.len() < 256 * 1024 {
+            src.push_str(unit);
+        }
+        let doc = Json::Str(src.clone()).to_string_compact();
+        assert_eq!(Json::parse(&doc).unwrap().as_str(), Some(src.as_str()));
+        let open = &doc[..doc.len() - 1];
+        assert_eq!(Json::parse(open).unwrap_err().msg, "unterminated string");
     }
 
     #[test]
