@@ -6,7 +6,7 @@ use pcm_bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use pcm_device::{WriteDriver, WriteSignal};
 use pcm_memsim::cache::Cache;
 use pcm_memsim::engine::{Event, EventQueue};
-use pcm_memsim::CacheConfig;
+use pcm_memsim::SystemConfig;
 use pcm_types::rng::{Rng, SmallRng};
 use pcm_types::{flip_encode, hamming_unit, transitions, LineDemand, Ps, UnitDemand};
 use pcm_workloads::Zipf;
@@ -48,12 +48,8 @@ fn bench(c: &mut Criterion) {
     });
 
     c.bench_function("micro/cache_access", |b| {
-        let geometry = CacheConfig::builder()
-            .size_bytes(32 << 10)
-            .assoc(4)
-            .build()
-            .unwrap();
-        let mut cache = Cache::new(geometry, 64).unwrap();
+        // Table II L1: 32 KB, 4-way.
+        let mut cache = Cache::new(SystemConfig::paper_baseline().l1, 64).unwrap();
         let mut rng = SmallRng::seed_from_u64(5);
         b.iter(|| {
             let addr = (rng.gen::<u64>() % 4096) * 64;

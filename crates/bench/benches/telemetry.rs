@@ -13,10 +13,10 @@ use std::hint::black_box;
 use tetris_experiments::{run_one, run_one_traced, RunConfig, SchemeSelect};
 
 fn bench(c: &mut Criterion) {
-    let cfg = RunConfig::builder()
-        .instructions_per_core(50_000)
-        .build()
-        .unwrap();
+    let cfg = RunConfig {
+        instructions_per_core: 50_000,
+        ..RunConfig::default()
+    };
     let p = WorkloadProfile::by_name("vips").unwrap();
 
     let mut g = c.benchmark_group("telemetry/system_run");

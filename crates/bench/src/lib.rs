@@ -40,10 +40,10 @@ pub mod suite;
 
 /// Shared quick-run sizing for the system benches.
 pub fn quick_run_config() -> tetris_experiments::RunConfig {
-    tetris_experiments::RunConfig::builder()
-        .instructions_per_core(100_000)
-        .build()
-        .expect("quick bench configuration is valid")
+    tetris_experiments::RunConfig {
+        instructions_per_core: 100_000,
+        ..Default::default()
+    }
 }
 
 /// Default samples per benchmark (a group can override via

@@ -209,10 +209,10 @@ pub fn canonical_suite(c: &mut Criterion, quick: bool) {
     }
 
     // --- end-to-end system run, both scheduling policies ---------------
-    let run_cfg = RunConfig::builder()
-        .instructions_per_core(system_instructions(quick))
-        .build()
-        .expect("canonical suite configuration is valid");
+    let run_cfg = RunConfig {
+        instructions_per_core: system_instructions(quick),
+        ..RunConfig::default()
+    };
     let p = WorkloadProfile::by_name("vips").expect("vips profile exists");
     let mut g = c.benchmark_group("canonical/system");
     g.sample_size(if quick { 5 } else { 10 });

@@ -103,10 +103,10 @@ propcheck! {
         let old = LineData::from_units(&old);
         let new = LineData::from_units(&new);
         for sel in SchemeSelect::ALL {
-            let cfg = SchemeConfig::builder()
-                .select(sel)
-                .build()
-                .expect("registry config is valid");
+            let cfg = SchemeConfig {
+                select: sel,
+                ..SchemeConfig::paper_baseline()
+            };
             let scheme = cfg.instantiate();
             let ctx = WriteCtx {
                 old_stored: &old,

@@ -492,10 +492,10 @@ mod tests {
 
     #[test]
     fn more_banks_reduce_runtime_for_both() {
-        let cfg = crate::runner::RunConfig::builder()
-            .instructions_per_core(200_000)
-            .build()
-            .unwrap();
+        let cfg = crate::runner::RunConfig {
+            instructions_per_core: 200_000,
+            ..crate::runner::RunConfig::default()
+        };
         let t = bank_parallelism_sweep(&cfg);
         assert_eq!(t.num_rows(), 4);
         let dcw4: f64 = t.cell(0, 1).parse().unwrap();
@@ -510,10 +510,10 @@ mod tests {
 
     #[test]
     fn system_batching_monotone() {
-        let cfg = crate::runner::RunConfig::builder()
-            .instructions_per_core(250_000)
-            .build()
-            .unwrap();
+        let cfg = crate::runner::RunConfig {
+            instructions_per_core: 250_000,
+            ..crate::runner::RunConfig::default()
+        };
         let t = system_batching_study(&cfg);
         for row in 0..t.num_rows() {
             let b4: f64 = t.cell(row, 3).parse().unwrap();
@@ -523,10 +523,10 @@ mod tests {
 
     #[test]
     fn subarrays_help_baseline_reads() {
-        let cfg = crate::runner::RunConfig::builder()
-            .instructions_per_core(250_000)
-            .build()
-            .unwrap();
+        let cfg = crate::runner::RunConfig {
+            instructions_per_core: 250_000,
+            ..crate::runner::RunConfig::default()
+        };
         let t = subarray_sweep(&cfg);
         for row in 0..t.num_rows() {
             let dcw1: f64 = t.cell(row, 1).parse().unwrap();
@@ -537,10 +537,10 @@ mod tests {
 
     #[test]
     fn pausing_helps_baseline_reads_more_than_tetris() {
-        let cfg = crate::runner::RunConfig::builder()
-            .instructions_per_core(300_000)
-            .build()
-            .unwrap();
+        let cfg = crate::runner::RunConfig {
+            instructions_per_core: 300_000,
+            ..crate::runner::RunConfig::default()
+        };
         let t = write_pausing_study(&cfg);
         assert_eq!(t.num_rows(), 3);
         for row in 0..t.num_rows() {

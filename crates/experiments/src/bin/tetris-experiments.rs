@@ -241,19 +241,7 @@ fn cmd_run(args: &[String]) {
         eprintln!("unknown workload {workload}");
         std::process::exit(1);
     });
-    let mut builder = RunConfig::builder();
-    if quick {
-        builder = builder.quick();
-    }
-    if let Some(n) = instructions {
-        builder = builder.instructions_per_core(n);
-    }
-    if let Some(r) = ranks {
-        builder = builder.ranks(r);
-    }
-    let mut cfg = builder
-        .build()
-        .unwrap_or_else(|e| usage_error(&e.to_string()));
+    let mut cfg = run_config(quick, instructions, ranks);
     if let Some(frames) = write_cache {
         cfg.system.write_cache = if frames == 0 {
             pcm_memsim::WriteCacheConfig::disabled()
@@ -409,16 +397,7 @@ fn cmd_cache_sweep(args: &[String]) {
             })
         })
         .collect();
-    let mut builder = RunConfig::builder();
-    if quick {
-        builder = builder.quick();
-    }
-    if let Some(n) = instructions {
-        builder = builder.instructions_per_core(n);
-    }
-    let cfg = builder
-        .build()
-        .unwrap_or_else(|e| usage_error(&e.to_string()));
+    let cfg = run_config(quick, instructions, None);
     eprintln!(
         "cache-sweep: {} workload(s) × {} frame budget(s) × {} policy(ies), {} instructions/core…",
         profiles.len(),
@@ -626,19 +605,7 @@ fn cmd_sched_ablation(args: &[String]) {
         eprintln!("unknown workload {workload}");
         std::process::exit(1);
     });
-    let mut builder = RunConfig::builder();
-    if quick {
-        builder = builder.quick();
-    }
-    if let Some(n) = instructions {
-        builder = builder.instructions_per_core(n);
-    }
-    if let Some(r) = ranks {
-        builder = builder.ranks(r);
-    }
-    let cfg = builder
-        .build()
-        .unwrap_or_else(|e| usage_error(&e.to_string()));
+    let cfg = run_config(quick, instructions, ranks);
     eprintln!(
         "sched-ablation: {} × Tetris, {} instructions/core, {} rank(s), fixed vs adaptive…",
         profile.name, cfg.instructions_per_core, cfg.system.mem.org.ranks
@@ -766,6 +733,26 @@ fn cmd_bench_compare(args: &[String]) {
     if report.has_failures() {
         std::process::exit(1);
     }
+}
+
+/// The run configuration the `--quick`, `--instructions` and `--ranks`
+/// flags select (`--instructions` overrides `--quick`), validated: an invalid
+/// combination is a usage error.
+fn run_config(quick: bool, instructions: Option<u64>, ranks: Option<u32>) -> RunConfig {
+    let mut cfg = RunConfig::default();
+    if quick {
+        cfg.instructions_per_core = tetris_experiments::QUICK_INSTRUCTIONS;
+    }
+    if let Some(n) = instructions {
+        cfg.instructions_per_core = n;
+    }
+    if let Some(r) = ranks {
+        cfg.system.mem.org.ranks = r;
+    }
+    cfg.system
+        .validate()
+        .unwrap_or_else(|e| usage_error(&e.to_string()));
+    cfg
 }
 
 /// Exit with a clean usage error instead of a panic backtrace.
@@ -927,19 +914,7 @@ fn main() {
     let all = targets.iter().any(|t| t == "all");
     let want = |t: &str| all || targets.iter().any(|x| x == t);
 
-    let mut builder = RunConfig::builder();
-    if quick {
-        builder = builder.quick();
-    }
-    if let Some(n) = instructions {
-        builder = builder.instructions_per_core(n);
-    }
-    if let Some(r) = ranks {
-        builder = builder.ranks(r);
-    }
-    let cfg = builder
-        .build()
-        .unwrap_or_else(|e| usage_error(&e.to_string()));
+    let cfg = run_config(quick, instructions, ranks);
 
     // A traced run is its own artifact: record it first, and unless the
     // user also asked for figures/tables explicitly, stop there.

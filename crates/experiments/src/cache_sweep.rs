@@ -177,10 +177,10 @@ mod tests {
     #[test]
     fn sweep_produces_distinct_policy_profiles() {
         let dir = std::env::temp_dir().join(format!("cache-sweep-test-{}", std::process::id()));
-        let cfg = RunConfig::builder()
-            .instructions_per_core(120_000)
-            .build()
-            .unwrap();
+        let cfg = RunConfig {
+            instructions_per_core: 120_000,
+            ..RunConfig::default()
+        };
         let vips = ALL_PROFILES[7];
         let cells = run_cache_sweep(
             std::slice::from_ref(&vips),

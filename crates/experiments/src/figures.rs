@@ -467,10 +467,10 @@ mod tests {
     fn small_matrix() -> (Vec<SimResult>, Vec<WorkloadProfile>, Vec<SchemeSelect>) {
         let profiles = vec![ALL_PROFILES[0], ALL_PROFILES[7]];
         let schemes = vec![SchemeSelect::Dcw, SchemeSelect::Tetris];
-        let cfg = RunConfig::builder()
-            .instructions_per_core(200_000)
-            .build()
-            .unwrap();
+        let cfg = RunConfig {
+            instructions_per_core: 200_000,
+            ..RunConfig::default()
+        };
         let results = run_matrix(&profiles, &schemes, &cfg);
         (results, profiles, schemes)
     }

@@ -43,7 +43,7 @@ pub use pcm_workloads::{WorkloadProfile, ALL_PROFILES};
 pub use report::Table;
 pub use runner::{
     run_matrix, run_matrix_threads, run_one, run_one_to_file, run_one_traced, run_sharded,
-    RunConfig, RunConfigBuilder,
+    RunConfig, QUICK_INSTRUCTIONS,
 };
 pub use sched_ablation::{
     delta_table, regression_check, run_sched_ablation, AblationOutcome, PolicySummary,

@@ -3,9 +3,8 @@
 use pcm_memsim::{rank_seed, RankPlan, ShardedSystem, SimResult, System, SystemConfig};
 use pcm_schemes::SchemeSelect;
 use pcm_telemetry::{AsyncTraceWriter, NullSink, Telemetry, TraceDetail};
-use pcm_types::{pool, PcmError};
+use pcm_types::pool;
 use pcm_workloads::{GeneratorConfig, ProfileContent, SyntheticParsec, WorkloadProfile};
-use tetris_write::TetrisConfig;
 
 /// Sizing/seeding for one experiment run.
 #[derive(Clone, Copy, Debug)]
@@ -29,79 +28,8 @@ impl Default for RunConfig {
     }
 }
 
-impl RunConfig {
-    /// Start a fluent builder from the full-length defaults.
-    pub fn builder() -> RunConfigBuilder {
-        RunConfigBuilder {
-            cfg: Self::default(),
-        }
-    }
-}
-
-/// Fluent construction of a [`RunConfig`];
-/// [`RunConfigBuilder::build`] validates the system and Tetris
-/// configurations, so an invalid combination never escapes.
-///
-/// ```
-/// use tetris_experiments::RunConfig;
-/// let cfg = RunConfig::builder()
-///     .quick()
-///     .instructions_per_core(100_000)
-///     .seed(42)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.instructions_per_core, 100_000);
-/// ```
-#[derive(Clone, Copy, Debug)]
-#[must_use = "call .build() to obtain the validated RunConfig"]
-pub struct RunConfigBuilder {
-    cfg: RunConfig,
-}
-
-impl RunConfigBuilder {
-    /// Instructions each core retires.
-    pub fn instructions_per_core(mut self, n: u64) -> Self {
-        self.cfg.instructions_per_core = n;
-        self
-    }
-
-    /// System configuration (cores, caches, controller, PCM).
-    pub fn system(mut self, s: SystemConfig) -> Self {
-        self.cfg.system = s;
-        self
-    }
-
-    /// RNG seed shared by trace generation and content synthesis.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.cfg.seed = s;
-        self
-    }
-
-    /// Tetris configuration (ignored by other schemes).
-    pub fn tetris(mut self, t: TetrisConfig) -> Self {
-        self.cfg.system.tetris = t;
-        self
-    }
-
-    /// Number of PCM ranks; above 1 the runner shards the trace across
-    /// per-rank controllers ([`run_sharded`]).
-    pub fn ranks(mut self, n: u32) -> Self {
-        self.cfg.system.mem.org.ranks = n;
-        self
-    }
-
-    /// Fast preset for tests and `--quick` runs (500 k instructions/core).
-    pub fn quick(mut self) -> Self {
-        self.cfg.instructions_per_core = 500_000;
-        self
-    }
-
-    /// Validate and return the finished configuration.
-    pub fn build(self) -> Result<RunConfig, PcmError> {
-        self.cfg.system.validate()?;
-        Ok(self.cfg)
-    }
-}
+/// Instructions per core for `--quick` runs and fast tests.
+pub const QUICK_INSTRUCTIONS: u64 = 500_000;
 
 /// Generator settings for a (workload, run-config) pair.
 fn gen_cfg(profile: &WorkloadProfile, cfg: &RunConfig) -> GeneratorConfig {
@@ -273,7 +201,10 @@ mod tests {
     #[test]
     fn single_run_produces_traffic() {
         let p = &ALL_PROFILES[7]; // vips, heaviest
-        let cfg = RunConfig::builder().quick().build().unwrap();
+        let cfg = RunConfig {
+            instructions_per_core: QUICK_INSTRUCTIONS,
+            ..RunConfig::default()
+        };
         let r = run_one(p, SchemeSelect::Dcw, &cfg);
         assert!(r.mem_writes > 100, "writes: {}", r.mem_writes);
         assert!(r.mem_reads > 100);
@@ -288,10 +219,10 @@ mod tests {
 
     #[test]
     fn matrix_order_is_workload_major() {
-        let cfg = RunConfig::builder()
-            .instructions_per_core(100_000)
-            .build()
-            .unwrap();
+        let cfg = RunConfig {
+            instructions_per_core: 100_000,
+            ..RunConfig::default()
+        };
         let profiles = [ALL_PROFILES[0], ALL_PROFILES[7]];
         let schemes = [SchemeSelect::Dcw, SchemeSelect::Tetris];
         let m = run_matrix(&profiles, &schemes, &cfg);
@@ -305,7 +236,10 @@ mod tests {
     #[test]
     fn tetris_beats_baseline_on_write_heavy_workload() {
         let p = &ALL_PROFILES[7]; // vips
-        let cfg = RunConfig::builder().quick().build().unwrap();
+        let cfg = RunConfig {
+            instructions_per_core: QUICK_INSTRUCTIONS,
+            ..RunConfig::default()
+        };
         let dcw = run_one(p, SchemeSelect::Dcw, &cfg);
         let tetris = run_one(p, SchemeSelect::Tetris, &cfg);
         assert!(tetris.runtime < dcw.runtime);
@@ -320,10 +254,10 @@ mod tests {
 
     #[test]
     fn parallel_matrix_matches_sequential_bit_for_bit() {
-        let cfg = RunConfig::builder()
-            .instructions_per_core(100_000)
-            .build()
-            .unwrap();
+        let cfg = RunConfig {
+            instructions_per_core: 100_000,
+            ..RunConfig::default()
+        };
         let profiles = [ALL_PROFILES[0], ALL_PROFILES[2]];
         let schemes = [SchemeSelect::Dcw, SchemeSelect::Tetris];
         let seq = run_matrix_threads(&profiles, &schemes, &cfg, 1);
@@ -352,10 +286,10 @@ mod tests {
         if pool::default_threads() < 4 {
             return; // too few cores for a meaningful comparison
         }
-        let cfg = RunConfig::builder()
-            .instructions_per_core(200_000)
-            .build()
-            .unwrap();
+        let cfg = RunConfig {
+            instructions_per_core: 200_000,
+            ..RunConfig::default()
+        };
         let profiles = [
             ALL_PROFILES[0],
             ALL_PROFILES[2],
@@ -380,10 +314,10 @@ mod tests {
     #[test]
     fn sharded_one_rank_matches_single_controller_bit_for_bit() {
         let p = &ALL_PROFILES[7]; // vips, heaviest
-        let cfg = RunConfig::builder()
-            .instructions_per_core(100_000)
-            .build()
-            .unwrap();
+        let cfg = RunConfig {
+            instructions_per_core: 100_000,
+            ..RunConfig::default()
+        };
         for scheme in [SchemeSelect::Dcw, SchemeSelect::Tetris] {
             let direct = run_one_traced(p, scheme, &cfg, Box::new(NullSink));
             let sharded = run_sharded(p, scheme, &cfg, 1, |_| Box::new(NullSink));
@@ -411,11 +345,11 @@ mod tests {
         use pcm_memsim::VecTrace;
         use pcm_workloads::SyntheticParsec;
         let p = &ALL_PROFILES[7]; // vips, heaviest
-        let cfg = RunConfig::builder()
-            .instructions_per_core(100_000)
-            .ranks(2)
-            .build()
-            .unwrap();
+        let mut cfg = RunConfig {
+            instructions_per_core: 100_000,
+            ..RunConfig::default()
+        };
+        cfg.system.mem.org.ranks = 2;
         let streamed = run_sharded(p, SchemeSelect::Tetris, &cfg, 1, |_| Box::new(NullSink));
 
         // Re-derive the identical stream, but materialize it first.
@@ -453,15 +387,15 @@ mod tests {
     #[test]
     fn four_rank_run_conserves_traffic_and_instructions() {
         let p = &ALL_PROFILES[7];
-        let one_cfg = RunConfig::builder()
-            .instructions_per_core(100_000)
-            .build()
-            .unwrap();
-        let four_cfg = RunConfig::builder()
-            .instructions_per_core(100_000)
-            .ranks(4)
-            .build()
-            .unwrap();
+        let one_cfg = RunConfig {
+            instructions_per_core: 100_000,
+            ..RunConfig::default()
+        };
+        let mut four_cfg = RunConfig {
+            instructions_per_core: 100_000,
+            ..RunConfig::default()
+        };
+        four_cfg.system.mem.org.ranks = 4;
         let one = run_one(p, SchemeSelect::Tetris, &one_cfg);
         let four = run_one(p, SchemeSelect::Tetris, &four_cfg);
         assert_eq!(four.instructions, one.instructions);
@@ -473,11 +407,11 @@ mod tests {
     #[test]
     fn sharded_runs_are_deterministic_across_thread_counts() {
         let p = &ALL_PROFILES[2];
-        let cfg = RunConfig::builder()
-            .instructions_per_core(100_000)
-            .ranks(2)
-            .build()
-            .unwrap();
+        let mut cfg = RunConfig {
+            instructions_per_core: 100_000,
+            ..RunConfig::default()
+        };
+        cfg.system.mem.org.ranks = 2;
         let a = run_sharded(p, SchemeSelect::Tetris, &cfg, 1, |_| Box::new(NullSink));
         let b = run_sharded(p, SchemeSelect::Tetris, &cfg, 4, |_| Box::new(NullSink));
         assert_eq!(a.runtime, b.runtime);
@@ -490,11 +424,11 @@ mod tests {
     fn traced_file_run_tags_every_rank() {
         use pcm_telemetry::read_tagged_events;
         let p = &ALL_PROFILES[7];
-        let cfg = RunConfig::builder()
-            .instructions_per_core(100_000)
-            .ranks(2)
-            .build()
-            .unwrap();
+        let mut cfg = RunConfig {
+            instructions_per_core: 100_000,
+            ..RunConfig::default()
+        };
+        cfg.system.mem.org.ranks = 2;
         let path = std::env::temp_dir().join("tetris-runner-tagged-trace.jsonl");
         let (r, written) =
             run_one_to_file(p, SchemeSelect::Tetris, &cfg, &path, TraceDetail::Coarse).unwrap();
@@ -512,10 +446,10 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let p = &ALL_PROFILES[2];
-        let cfg = RunConfig::builder()
-            .instructions_per_core(200_000)
-            .build()
-            .unwrap();
+        let cfg = RunConfig {
+            instructions_per_core: 200_000,
+            ..RunConfig::default()
+        };
         let a = run_one(p, SchemeSelect::ThreeStage, &cfg);
         let b = run_one(p, SchemeSelect::ThreeStage, &cfg);
         assert_eq!(a.runtime, b.runtime);

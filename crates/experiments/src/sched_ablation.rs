@@ -326,10 +326,10 @@ mod tests {
     #[test]
     fn vips_ablation_adaptive_not_worse() {
         let p = &ALL_PROFILES[7]; // vips
-        let cfg = RunConfig::builder()
-            .instructions_per_core(120_000)
-            .build()
-            .unwrap();
+        let cfg = RunConfig {
+            instructions_per_core: 120_000,
+            ..RunConfig::default()
+        };
         let dir = std::env::temp_dir().join(format!("sched_ablation_{}", std::process::id()));
         let out = run_sched_ablation(p, &cfg, &dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();

@@ -12,11 +12,14 @@
 
 use pcm_schemes::SchemeSelect;
 use pcm_workloads::WorkloadProfile;
-use tetris_experiments::{run_one, RunConfig};
+use tetris_experiments::{run_one, RunConfig, QUICK_INSTRUCTIONS};
 
 fn vips_quick(kind: SchemeSelect) -> pcm_memsim::SimResult {
     let profile = WorkloadProfile::by_name("vips").expect("vips profile exists");
-    let cfg = RunConfig::builder().quick().build().expect("quick config");
+    let cfg = RunConfig {
+        instructions_per_core: QUICK_INSTRUCTIONS,
+        ..RunConfig::default()
+    };
     run_one(profile, kind, &cfg)
 }
 

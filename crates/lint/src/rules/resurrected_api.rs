@@ -1,15 +1,14 @@
-//! `no-resurrected-apis`: constructors removed by the builder-API
-//! migrations must not quietly come back.
+//! `no-resurrected-apis`: removed constructors must not quietly come back.
 //!
-//! PR 3 removed the `SystemConfig::small_test` / `RunConfig::quick`
-//! deprecation shims; PR 4 replaced `System::new` with the validating
-//! `System::build`. Each removal was a one-way door: the replacements
-//! validate configuration the old paths did not. A merge-conflict
+//! `SystemConfig::small_test` and `RunConfig::quick` were preset
+//! constructors; configs now start from `paper_baseline()` or `Default`
+//! and assign fields. `System::new` was replaced by the validating
+//! `System::build`. Each removal was a one-way door: a merge-conflict
 //! resolution or an LLM-assisted edit that re-introduces a call (or a
-//! fresh definition) re-opens the unvalidated path for every caller that
-//! follows. The rule bans the path expressions outright — in tests and
-//! examples too, since those are exactly where copy-paste resurrection
-//! starts.
+//! fresh definition) re-opens a second way to build the same thing, or the
+//! unvalidated path, for every caller that follows. The rule bans the path
+//! expressions outright — in tests and examples too, since those are
+//! exactly where copy-paste resurrection starts.
 
 use super::{FileRule, SigView};
 use crate::diag::Diagnostic;
@@ -25,9 +24,13 @@ const BANNED: &[(&str, &str, &str)] = &[
     (
         "SystemConfig",
         "small_test",
-        "SystemConfig::builder().small_caches().build()",
+        "SystemConfig::paper_baseline() and assign the cache fields",
     ),
-    ("RunConfig", "quick", "RunConfig::builder().quick().build()"),
+    (
+        "RunConfig",
+        "quick",
+        "RunConfig { instructions_per_core: QUICK_INSTRUCTIONS, ..RunConfig::default() }",
+    ),
 ];
 
 /// See module docs.
@@ -58,10 +61,7 @@ impl FileRule for NoResurrectedApis {
                             self.id(),
                             lo,
                             hi - lo,
-                            format!(
-                                "`{ty}::{method}` was removed by the builder-API migration; \
-                                 use {instead}"
-                            ),
+                            format!("`{ty}::{method}` was removed; use {instead}"),
                         ));
                     }
                 }

@@ -5,12 +5,12 @@ pub struct WriteCacheConfig {
     pub orphan_knob: u64,
 }
 
-pub struct WriteCacheConfigBuilder {
+pub struct WriteCacheBuilder {
     capacity_lines: usize,
     orphan_knob: u64,
 }
 
-impl WriteCacheConfigBuilder {
+impl WriteCacheBuilder {
     pub fn build(&self) -> WriteCacheConfig {
         WriteCacheConfig {
             capacity_lines: self.capacity_lines,

@@ -61,23 +61,14 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Build a cache level from its validated geometry
-    /// ([`CacheConfig::builder`]) and the system's cache-line size.
+    /// Build a cache level from its geometry and the system's cache-line
+    /// size ([`CacheConfig::validate`] checks the pair first).
     pub fn new(cfg: CacheConfig, line_bytes: u32) -> Result<Self, PcmError> {
-        let size_bytes = cfg.size_bytes;
+        cfg.validate(line_bytes)?;
         let assoc = cfg.assoc as usize;
         let line_bytes = line_bytes as usize;
-        if assoc == 0 || line_bytes == 0 || !line_bytes.is_power_of_two() {
-            return Err(PcmError::config("bad cache geometry"));
-        }
-        let total_lines = size_bytes as usize / line_bytes;
-        if total_lines == 0 || total_lines % assoc != 0 {
-            return Err(PcmError::config("cache size must divide into sets"));
-        }
+        let total_lines = cfg.size_bytes as usize / line_bytes;
         let sets = total_lines / assoc;
-        if !sets.is_power_of_two() {
-            return Err(PcmError::config("set count must be a power of two"));
-        }
         Ok(Cache {
             lines: vec![Line::default(); total_lines],
             sets,
@@ -207,20 +198,16 @@ mod tests {
 
     #[test]
     fn builder_validates_before_the_cache_does() {
-        let cfg = CacheConfig::builder()
-            .size_bytes(512)
-            .assoc(2)
-            .latency_cycles(1)
-            .build()
-            .unwrap();
-        assert_eq!(Cache::new(cfg, 64).unwrap().num_sets(), 4);
-        assert!(CacheConfig::builder().assoc(0).build().is_err());
-        assert!(CacheConfig::builder().size_bytes(0).build().is_err());
-        assert!(CacheConfig::builder()
-            .size_bytes(511)
-            .assoc(2)
-            .build()
-            .is_err());
+        assert!(geom(512, 2).validate(64).is_ok());
+        assert_eq!(Cache::new(geom(512, 2), 64).unwrap().num_sets(), 4);
+        assert!(geom(512, 0).validate(64).is_err());
+        assert!(geom(0, 2).validate(64).is_err());
+        assert!(geom(511, 2).validate(64).is_err());
+        // 3 sets: the index function needs a power-of-two set count.
+        assert!(geom(3 * 2 * 64, 2).validate(64).is_err());
+        for line in [0, 48] {
+            assert!(geom(512, 2).validate(line).is_err(), "line {line}");
+        }
     }
 
     #[test]

@@ -3,12 +3,12 @@
 use crate::replacement::PolicySelect;
 use crate::sched::SchedConfig;
 use crate::system::TraceLevel;
-use pcm_schemes::{SchemeConfig, SchemeSelect};
+use pcm_schemes::SchemeConfig;
 use pcm_types::{PcmError, Ps};
 use tetris_write::TetrisConfig;
 
-/// The error [`crate::System::build`] and the config builders return on an
-/// invalid configuration (an alias of [`PcmError`], whose `Config` variant
+/// The error [`crate::System::build`] and [`SystemConfig::validate`] return
+/// on an invalid configuration (an alias of [`PcmError`], whose `Config` variant
 /// carries the explanation).
 pub type ConfigError = PcmError;
 
@@ -27,80 +27,30 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Start a fluent builder from the Table II L1 geometry
-    /// (32 KB, 4-way, 2-cycle, LRU).
-    pub fn builder() -> CacheConfigBuilder {
-        CacheConfigBuilder {
-            cfg: CacheConfig {
-                size_bytes: 32 << 10,
-                assoc: 4,
-                latency_cycles: 2,
-                policy: PolicySelect::Lru,
-            },
-        }
-    }
-}
-
-/// Fluent construction of a [`CacheConfig`];
-/// [`CacheConfigBuilder::build`] validates the line-independent geometry
-/// (non-zero capacity and ways, capacity divisible into ways), so an
-/// invalid level never reaches [`crate::cache::Cache::new`] — which re-checks
-/// against the concrete cache-line size.
-///
-/// ```
-/// use pcm_memsim::CacheConfig;
-/// let l2 = CacheConfig::builder()
-///     .size_bytes(2 << 20)
-///     .assoc(8)
-///     .latency_cycles(20)
-///     .build()
-///     .unwrap();
-/// assert_eq!(l2.size_bytes, 2 << 20);
-/// assert!(CacheConfig::builder().assoc(0).build().is_err());
-/// ```
-#[derive(Clone, Copy, Debug)]
-#[must_use = "call .build() to obtain the validated CacheConfig"]
-pub struct CacheConfigBuilder {
-    cfg: CacheConfig,
-}
-
-impl CacheConfigBuilder {
-    /// Capacity in bytes.
-    pub fn size_bytes(mut self, n: u64) -> Self {
-        self.cfg.size_bytes = n;
-        self
-    }
-
-    /// Associativity (ways).
-    pub fn assoc(mut self, n: u32) -> Self {
-        self.cfg.assoc = n;
-        self
-    }
-
-    /// Access latency in CPU cycles.
-    pub fn latency_cycles(mut self, n: u32) -> Self {
-        self.cfg.latency_cycles = n;
-        self
-    }
-
-    /// Replacement policy.
-    pub fn policy(mut self, p: PolicySelect) -> Self {
-        self.cfg.policy = p;
-        self
-    }
-
-    /// Validate and return the finished level geometry.
-    pub fn build(self) -> Result<CacheConfig, PcmError> {
-        if self.cfg.assoc == 0 {
+    /// Check this level's geometry against the system's cache-line size:
+    /// non-zero ways and capacity, a power-of-two line, a capacity that
+    /// divides into whole sets, and a power-of-two set count (the index
+    /// function masks the line address).
+    pub fn validate(&self, line_bytes: u32) -> Result<(), PcmError> {
+        if self.assoc == 0 {
             return Err(PcmError::config("cache associativity must be ≥ 1"));
         }
-        if self.cfg.size_bytes == 0 {
+        if !line_bytes.is_power_of_two() {
+            return Err(PcmError::config(
+                "cache line size must be a non-zero power of two",
+            ));
+        }
+        if self.size_bytes == 0 {
             return Err(PcmError::config("cache capacity must be non-zero"));
         }
-        if self.cfg.size_bytes % self.cfg.assoc as u64 != 0 {
-            return Err(PcmError::config("cache capacity must divide into ways"));
+        let set_bytes = line_bytes as u64 * self.assoc as u64;
+        if self.size_bytes % set_bytes != 0 {
+            return Err(PcmError::config("cache size must divide into sets"));
         }
-        Ok(self.cfg)
+        if !(self.size_bytes / set_bytes).is_power_of_two() {
+            return Err(PcmError::config("set count must be a power of two"));
+        }
+        Ok(())
     }
 }
 
@@ -248,7 +198,7 @@ pub struct SystemConfig {
     pub mem: SchemeConfig,
     /// Which abstraction level the trace describes.
     pub level: TraceLevel,
-    /// Packing knobs used when `mem.select` is [`SchemeSelect::Tetris`]
+    /// Packing knobs used when `mem.select` is [`pcm_schemes::SchemeSelect::Tetris`]
     /// (its embedded `scheme` field is overridden with `mem` at build
     /// time, so `mem` stays the single source of device geometry).
     pub tetris: TetrisConfig,
@@ -260,239 +210,7 @@ impl Default for SystemConfig {
     }
 }
 
-/// Fluent construction of a [`SystemConfig`], starting from the Table II
-/// baseline; [`SystemConfigBuilder::build`] folds in
-/// [`SystemConfig::validate`], so an invalid combination never escapes.
-///
-/// ```
-/// use pcm_memsim::SystemConfig;
-/// let cfg = SystemConfig::builder()
-///     .cores(2)
-///     .write_queue(64)
-///     .batch_writes(4)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.cores, 2);
-/// assert_eq!(cfg.controller.write_queue_cap, 64);
-/// ```
-#[derive(Clone, Copy, Debug)]
-#[must_use = "call .build() to obtain the validated SystemConfig"]
-pub struct SystemConfigBuilder {
-    cfg: SystemConfig,
-}
-
-impl SystemConfigBuilder {
-    /// Number of cores.
-    pub fn cores(mut self, n: usize) -> Self {
-        self.cfg.cores = n;
-        self
-    }
-
-    /// CPU clock in MHz.
-    pub fn cpu_freq_mhz(mut self, mhz: u64) -> Self {
-        self.cfg.cpu_freq_mhz = mhz;
-        self
-    }
-
-    /// L1 data-cache geometry.
-    pub fn l1(mut self, c: CacheConfig) -> Self {
-        self.cfg.l1 = c;
-        self
-    }
-
-    /// Private L2 geometry.
-    pub fn l2(mut self, c: CacheConfig) -> Self {
-        self.cfg.l2 = c;
-        self
-    }
-
-    /// Shared L3 geometry.
-    pub fn l3(mut self, c: CacheConfig) -> Self {
-        self.cfg.l3 = c;
-        self
-    }
-
-    /// Replace the whole write-cache configuration.
-    pub fn write_cache_config(mut self, c: WriteCacheConfig) -> Self {
-        self.cfg.write_cache = c;
-        self
-    }
-
-    /// Enable the DRAM write-cache tier with `frames` frames (0 keeps it
-    /// disabled); the drain watermark defaults to 3/4 of the budget.
-    pub fn write_cache(mut self, frames: usize) -> Self {
-        self.cfg.write_cache = if frames == 0 {
-            WriteCacheConfig::disabled()
-        } else {
-            WriteCacheConfig::with_frames(frames, self.cfg.write_cache.policy)
-        };
-        self
-    }
-
-    /// Write-cache replacement policy.
-    pub fn write_cache_policy(mut self, p: PolicySelect) -> Self {
-        self.cfg.write_cache.policy = p;
-        self
-    }
-
-    /// Write-cache drain watermark (frames dirty before background drain
-    /// starts).
-    pub fn drain_watermark(mut self, n: usize) -> Self {
-        self.cfg.write_cache.drain_watermark = n;
-        self
-    }
-
-    /// Replace the whole controller configuration.
-    pub fn controller(mut self, c: ControllerConfig) -> Self {
-        self.cfg.controller = c;
-        self
-    }
-
-    /// PCM device + write-scheme geometry.
-    pub fn mem(mut self, m: SchemeConfig) -> Self {
-        self.cfg.mem = m;
-        self
-    }
-
-    /// Number of PCM ranks; [`crate::ShardedSystem`] runs one controller
-    /// shard per rank.
-    pub fn ranks(mut self, n: u32) -> Self {
-        self.cfg.mem.org.ranks = n;
-        self
-    }
-
-    /// Which write scheme [`crate::System::build`] instantiates.
-    pub fn scheme(mut self, s: SchemeSelect) -> Self {
-        self.cfg.mem.select = s;
-        self
-    }
-
-    /// Tetris packing knobs (only used with [`SchemeSelect::Tetris`]).
-    pub fn tetris(mut self, t: TetrisConfig) -> Self {
-        self.cfg.tetris = t;
-        self
-    }
-
-    /// Which abstraction level the trace describes.
-    pub fn level(mut self, l: TraceLevel) -> Self {
-        self.cfg.level = l;
-        self
-    }
-
-    /// Shorthand: CPU-level trace filtered through the cache hierarchy.
-    pub fn cpu_level(mut self) -> Self {
-        self.cfg.level = TraceLevel::CpuLevel;
-        self
-    }
-
-    /// Read-queue capacity.
-    pub fn read_queue(mut self, cap: usize) -> Self {
-        self.cfg.controller.read_queue_cap = cap;
-        self
-    }
-
-    /// Write-queue capacity.
-    pub fn write_queue(mut self, cap: usize) -> Self {
-        self.cfg.controller.write_queue_cap = cap;
-        self
-    }
-
-    /// Drain-exit watermark.
-    pub fn write_low_watermark(mut self, n: usize) -> Self {
-        self.cfg.controller.write_low_watermark = n;
-        self
-    }
-
-    /// Writes drained together per bank as one batched operation.
-    pub fn batch_writes(mut self, n: usize) -> Self {
-        self.cfg.controller.batch_writes = n;
-        self
-    }
-
-    /// Subarrays per bank.
-    pub fn subarrays_per_bank(mut self, n: usize) -> Self {
-        self.cfg.controller.subarrays_per_bank = n;
-        self
-    }
-
-    /// Enable or disable write pausing.
-    pub fn write_pausing(mut self, on: bool) -> Self {
-        self.cfg.controller.write_pausing = on;
-        self
-    }
-
-    /// Replace the whole write-scheduling policy configuration.
-    pub fn sched(mut self, s: SchedConfig) -> Self {
-        self.cfg.controller.sched = s;
-        self
-    }
-
-    /// Turn on all three adaptive scheduling policies
-    /// ([`SchedConfig::adaptive`]): percentile-driven drain watermarks,
-    /// least-utilized-first bank steering and read-priority windows.
-    pub fn adaptive_scheduling(mut self) -> Self {
-        self.cfg.controller.sched = SchedConfig::adaptive();
-        self
-    }
-
-    /// Enable or disable percentile-driven drain watermarks.
-    pub fn adaptive_watermarks(mut self, on: bool) -> Self {
-        self.cfg.controller.sched.adaptive_watermarks = on;
-        self
-    }
-
-    /// Enable or disable least-utilized-first bank steering.
-    pub fn bank_steering(mut self, on: bool) -> Self {
-        self.cfg.controller.sched.bank_steering = on;
-        self
-    }
-
-    /// Enable or disable read-priority windows during drains.
-    pub fn read_windows(mut self, on: bool) -> Self {
-        self.cfg.controller.sched.read_windows = on;
-        self
-    }
-
-    /// Scaled-down preset for fast tests: 2 cores, 4 KB L1 / 32 KB L2 /
-    /// 256 KB L3 (the old `small_test()` shape).
-    pub fn small_caches(mut self) -> Self {
-        self.cfg.cores = 2;
-        self.cfg.l1 = CacheConfig {
-            size_bytes: 4 << 10,
-            assoc: 2,
-            latency_cycles: 2,
-            policy: PolicySelect::Lru,
-        };
-        self.cfg.l2 = CacheConfig {
-            size_bytes: 32 << 10,
-            assoc: 4,
-            latency_cycles: 20,
-            policy: PolicySelect::Lru,
-        };
-        self.cfg.l3 = CacheConfig {
-            size_bytes: 256 << 10,
-            assoc: 8,
-            latency_cycles: 50,
-            policy: PolicySelect::Lru,
-        };
-        self
-    }
-
-    /// Validate and return the finished configuration.
-    pub fn build(self) -> Result<SystemConfig, PcmError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 impl SystemConfig {
-    /// Start a fluent builder from the Table II baseline.
-    pub fn builder() -> SystemConfigBuilder {
-        SystemConfigBuilder {
-            cfg: Self::paper_baseline(),
-        }
-    }
-
     /// Table II values.
     pub fn paper_baseline() -> Self {
         SystemConfig {
@@ -534,6 +252,11 @@ impl SystemConfig {
         if self.cores == 0 {
             return Err(PcmError::config("need at least one core"));
         }
+        // `cycle()` divides by the clock, and above 1 THz a cycle rounds
+        // to 0 ps.
+        if !(1..=1_000_000).contains(&self.cpu_freq_mhz) {
+            return Err(PcmError::config("CPU clock must be 1..=1_000_000 MHz"));
+        }
         if self.controller.write_low_watermark >= self.controller.write_queue_cap {
             return Err(PcmError::config(
                 "low watermark must be below queue capacity",
@@ -555,10 +278,7 @@ impl SystemConfig {
         }
         self.write_cache.validate()?;
         for c in [&self.l1, &self.l2, &self.l3] {
-            let line = self.mem.org.cache_line_bytes as u64;
-            if c.size_bytes % (line * c.assoc as u64) != 0 {
-                return Err(PcmError::config("cache size must divide into sets"));
-            }
+            c.validate(self.mem.org.cache_line_bytes)?;
         }
         // Rank × bank × power-budget consistency: sharding splits the
         // address space and the per-bank current budget must make sense in
@@ -569,7 +289,7 @@ impl SystemConfig {
                 "ranks and banks_per_rank must be at least 1",
             ));
         }
-        if org.total_banks() > 1024 {
+        if org.ranks as u64 * org.banks_per_rank as u64 > 1024 {
             return Err(PcmError::config(
                 "ranks × banks_per_rank exceeds 1024 banks",
             ));
@@ -589,18 +309,31 @@ impl SystemConfig {
                 "per-bank power budget cannot program even one bit",
             ));
         }
-        self.mem.validate()?;
-        // The packing knobs must be coherent with the device geometry they
-        // will be rebound to at build time.
-        let mut t = self.tetris;
-        t.scheme = self.mem;
-        t.validate()
+        // `tetris.scheme` is rebound to `mem` at build time, so this also
+        // covers everything `TetrisConfig::validate` checks.
+        self.mem.validate()
     }
+}
+
+/// Scaled-down caches for fast CPU-level tests: 2 cores, 4 KB L1 /
+/// 32 KB L2 / 256 KB L3, otherwise the Table II baseline.
+#[cfg(test)]
+pub(crate) fn small_caches() -> SystemConfig {
+    let mut cfg = SystemConfig::paper_baseline();
+    cfg.cores = 2;
+    cfg.l1.size_bytes = 4 << 10;
+    cfg.l1.assoc = 2;
+    cfg.l2.size_bytes = 32 << 10;
+    cfg.l2.assoc = 4;
+    cfg.l3.size_bytes = 256 << 10;
+    cfg.l3.assoc = 8;
+    cfg
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcm_types::propcheck::{any_u64, one_of, union, vec_of};
 
     #[test]
     fn baseline_matches_table2() {
@@ -622,40 +355,124 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_zero_divisors() {
+        let zero_ways: [fn(&mut SystemConfig); 3] =
+            [|c| c.l1.assoc = 0, |c| c.l2.assoc = 0, |c| c.l3.assoc = 0];
+        for edit in zero_ways {
+            let mut c = SystemConfig::paper_baseline();
+            edit(&mut c);
+            assert!(c.validate().is_err());
+        }
+        let mut c = SystemConfig::paper_baseline();
+        c.mem.org.cache_line_bytes = 0;
+        assert!(c.validate().is_err());
+        // A 0 MHz clock would divide by zero in `cycle()`.
+        let mut c = SystemConfig::paper_baseline();
+        c.cpu_freq_mhz = 0;
+        assert!(c.validate().is_err());
+    }
+
+    /// Setters for every integer field of a `SystemConfig`, nested ones
+    /// included (`as` truncates the raw draw to the field's width).
+    const INT_FIELDS: &[fn(&mut SystemConfig, u64)] = &[
+        |c, v| c.cores = v as usize,
+        |c, v| c.cpu_freq_mhz = v,
+        |c, v| c.l1.size_bytes = v,
+        |c, v| c.l1.assoc = v as u32,
+        |c, v| c.l1.latency_cycles = v as u32,
+        |c, v| c.l2.size_bytes = v,
+        |c, v| c.l2.assoc = v as u32,
+        |c, v| c.l2.latency_cycles = v as u32,
+        |c, v| c.l3.size_bytes = v,
+        |c, v| c.l3.assoc = v as u32,
+        |c, v| c.l3.latency_cycles = v as u32,
+        |c, v| c.write_cache.frames = v as usize,
+        |c, v| c.write_cache.drain_watermark = v as usize,
+        |c, v| c.controller.read_queue_cap = v as usize,
+        |c, v| c.controller.write_queue_cap = v as usize,
+        |c, v| c.controller.write_low_watermark = v as usize,
+        |c, v| c.controller.t_bus = Ps(v),
+        |c, v| c.controller.t_row_hit = Ps(v),
+        |c, v| c.controller.pause_overhead = Ps(v),
+        |c, v| c.controller.max_pauses_per_write = v as u32,
+        |c, v| c.controller.batch_writes = v as usize,
+        |c, v| c.controller.subarrays_per_bank = v as usize,
+        |c, v| c.controller.sched.watermark_interval = v as u32,
+        |c, v| c.controller.sched.min_watermark_gap = v as usize,
+        |c, v| c.controller.sched.max_drain_starvation = Ps(v),
+        |c, v| c.controller.sched.read_window = Ps(v),
+        |c, v| c.mem.timings.t_read = Ps(v),
+        |c, v| c.mem.timings.t_reset = Ps(v),
+        |c, v| c.mem.timings.t_set = Ps(v),
+        |c, v| c.mem.power.l_ratio = v as u32,
+        |c, v| c.mem.power.budget_per_bank = v as u32,
+        |c, v| c.mem.power.chips_per_bank = v as u32,
+        |c, v| c.mem.org.capacity_bytes = v,
+        |c, v| c.mem.org.ranks = v as u32,
+        |c, v| c.mem.org.banks_per_rank = v as u32,
+        |c, v| c.mem.org.chips_per_bank = v as u32,
+        |c, v| c.mem.org.write_unit_bits_per_chip = v as u32,
+        |c, v| c.mem.org.cache_line_bytes = v as u32,
+        |c, v| c.mem.org.data_unit_bits = v as u32,
+        |c, v| c.mem.org.partitions_per_bank = v as u32,
+        |c, v| c.mem.energy.e_set = pcm_types::PicoJoules(v),
+        |c, v| c.mem.energy.e_reset = pcm_types::PicoJoules(v),
+        |c, v| c.mem.energy.e_read_unit = pcm_types::PicoJoules(v),
+        |c, v| c.tetris.analysis_overhead = Ps(v),
+    ];
+
+    pcm_types::propcheck! {
+        cases = 1024;
+
+        /// `validate()` is total: whatever the integer fields hold, it
+        /// returns `Ok` or `Err` and never panics (the harness turns a
+        /// panic, overflow included, into a failure).
+        fn validate_never_panics(
+            edits in vec_of(
+                (
+                    0..INT_FIELDS.len(),
+                    union(vec![
+                        Box::new(0u64..=8),
+                        Box::new(one_of(&[16u64, 32, 64, 128, 256, 1 << 20, 1 << 31, u32::MAX as u64])),
+                        Box::new(any_u64()),
+                    ]),
+                ),
+                1..=6,
+            )
+        ) {
+            let mut c = SystemConfig::paper_baseline();
+            for &(field, v) in &edits {
+                INT_FIELDS[field](&mut c, v);
+            }
+            let _ = c.validate();
+        }
+    }
+
+    #[test]
     fn small_test_config_valid() {
-        assert!(SystemConfig::builder()
-            .small_caches()
-            .build()
-            .unwrap()
-            .validate()
-            .is_ok());
+        assert!(small_caches().validate().is_ok());
     }
 
     #[test]
     fn builder_overrides_and_validates() {
-        let cfg = SystemConfig::builder()
-            .cores(8)
-            .cpu_freq_mhz(1_000)
-            .write_queue(64)
-            .write_low_watermark(8)
-            .batch_writes(4)
-            .subarrays_per_bank(2)
-            .write_pausing(true)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.cores, 8);
+        let mut cfg = SystemConfig::paper_baseline();
+        cfg.cores = 8;
+        cfg.cpu_freq_mhz = 1_000;
+        cfg.controller.write_queue_cap = 64;
+        cfg.controller.write_low_watermark = 8;
+        cfg.controller.batch_writes = 4;
+        cfg.controller.subarrays_per_bank = 2;
+        cfg.controller.write_pausing = true;
+        assert!(cfg.validate().is_ok());
         assert_eq!(cfg.cycle(), Ps(1_000));
-        assert_eq!(cfg.controller.write_queue_cap, 64);
-        assert_eq!(cfg.controller.batch_writes, 4);
-        assert!(cfg.controller.write_pausing);
 
-        // validate() is folded into build(): a bad watermark never escapes.
-        assert!(SystemConfig::builder()
-            .write_queue(16)
-            .write_low_watermark(16)
-            .build()
-            .is_err());
-        assert!(SystemConfig::builder().cores(0).build().is_err());
+        let mut bad = SystemConfig::paper_baseline();
+        bad.controller.write_queue_cap = 16;
+        bad.controller.write_low_watermark = 16;
+        assert!(bad.validate().is_err());
+        let mut bad = SystemConfig::paper_baseline();
+        bad.cores = 0;
+        assert!(bad.validate().is_err());
     }
 
     #[test]
@@ -665,68 +482,39 @@ mod tests {
         assert_eq!(base.write_cache, WriteCacheConfig::disabled());
         assert!(!base.write_cache.enabled());
 
-        let cfg = SystemConfig::builder()
-            .write_cache(64)
-            .write_cache_policy(PolicySelect::Clock)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.write_cache.frames, 64);
-        assert_eq!(cfg.write_cache.drain_watermark, 48, "3/4 of the budget");
-        assert_eq!(cfg.write_cache.policy, PolicySelect::Clock);
+        let wc = WriteCacheConfig::with_frames(64, PolicySelect::Clock);
+        assert_eq!(wc.frames, 64);
+        assert_eq!(wc.drain_watermark, 48, "3/4 of the budget");
+        assert_eq!(wc.policy, PolicySelect::Clock);
 
         // Explicit watermark override, still validated.
-        let cfg = SystemConfig::builder()
-            .write_cache(16)
-            .drain_watermark(4)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.write_cache.drain_watermark, 4);
-        assert!(SystemConfig::builder()
-            .write_cache(16)
-            .drain_watermark(17)
-            .build()
-            .is_err());
-        assert!(SystemConfig::builder()
-            .write_cache(16)
-            .drain_watermark(0)
-            .build()
-            .is_err());
+        let mut cfg = SystemConfig::paper_baseline();
+        cfg.write_cache = WriteCacheConfig::with_frames(16, PolicySelect::Lru);
+        cfg.write_cache.drain_watermark = 4;
+        assert!(cfg.validate().is_ok());
+        cfg.write_cache.drain_watermark = 17;
+        assert!(cfg.validate().is_err());
+        cfg.write_cache.drain_watermark = 0;
+        assert!(cfg.validate().is_err());
         // frames = 0 ignores the other knobs entirely.
-        assert!(SystemConfig::builder().write_cache(0).build().is_ok());
+        cfg.write_cache.frames = 0;
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]
     fn cache_config_builder_takes_a_policy() {
-        let c = CacheConfig::builder()
-            .size_bytes(512)
-            .assoc(2)
-            .policy(PolicySelect::TwoQ)
-            .build()
-            .unwrap();
-        assert_eq!(c.policy, PolicySelect::TwoQ);
+        let mut cfg = SystemConfig::paper_baseline();
+        cfg.l2.policy = PolicySelect::TwoQ;
+        assert!(cfg.validate().is_ok());
         // The default stays LRU so existing configs are unchanged.
-        assert_eq!(
-            CacheConfig::builder().build().unwrap().policy,
-            PolicySelect::Lru
-        );
+        assert_eq!(SystemConfig::paper_baseline().l2.policy, PolicySelect::Lru);
     }
 
     #[test]
     fn sched_builder_knobs_and_validation() {
-        let cfg = SystemConfig::builder()
-            .adaptive_scheduling()
-            .build()
-            .unwrap();
-        assert_eq!(cfg.controller.sched, SchedConfig::adaptive());
-
-        let cfg = SystemConfig::builder()
-            .adaptive_watermarks(true)
-            .read_windows(true)
-            .build()
-            .unwrap();
-        assert!(cfg.controller.sched.adaptive_watermarks);
-        assert!(!cfg.controller.sched.bank_steering);
-        assert!(cfg.controller.sched.read_windows);
+        let mut cfg = SystemConfig::paper_baseline();
+        cfg.controller.sched = SchedConfig::adaptive();
+        assert!(cfg.validate().is_ok());
 
         // Defaults stay paper-faithful: everything off.
         assert_eq!(
@@ -735,11 +523,10 @@ mod tests {
         );
 
         // A gap as wide as the queue can never hold low + gap <= high.
-        let mut bad = SchedConfig::adaptive();
-        bad.min_watermark_gap = 32;
-        assert!(SystemConfig::builder().sched(bad).build().is_err());
-        bad.min_watermark_gap = 4;
-        bad.watermark_interval = 0;
-        assert!(SystemConfig::builder().sched(bad).build().is_err());
+        cfg.controller.sched.min_watermark_gap = 32;
+        assert!(cfg.validate().is_err());
+        cfg.controller.sched.min_watermark_gap = 4;
+        cfg.controller.sched.watermark_interval = 0;
+        assert!(cfg.validate().is_err());
     }
 }

@@ -158,10 +158,10 @@ impl CacheHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
+    use crate::config::small_caches;
 
     fn hier() -> CacheHierarchy {
-        CacheHierarchy::new(&SystemConfig::builder().small_caches().build().unwrap()).unwrap()
+        CacheHierarchy::new(&small_caches()).unwrap()
     }
 
     #[test]
@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn dirty_data_eventually_writes_back_to_memory() {
-        let cfg = SystemConfig::builder().small_caches().build().unwrap();
+        let cfg = small_caches();
         let mut h = CacheHierarchy::new(&cfg).unwrap();
         // Write a large streaming footprint (≥ 2× L3) through core 0.
         let span = cfg.l3.size_bytes * 2;
@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn read_only_traffic_never_writes_back() {
-        let cfg = SystemConfig::builder().small_caches().build().unwrap();
+        let cfg = small_caches();
         let mut h = CacheHierarchy::new(&cfg).unwrap();
         let mut addr = 0u64;
         while addr < cfg.l3.size_bytes * 2 {

@@ -23,8 +23,8 @@
 //!   watermarks, least-utilized-first bank steering, and read-priority
 //!   windows that bound drain-induced read starvation.
 //! * [`bankstate`] — per-bank busy tracking and an open-row buffer model.
-//! * [`memory`] — the 4 GB sparse PCM backing store: per-line stored bits,
-//!   flip tags and wear, with every write planned by a pluggable
+//! * [`memory`] — the 4 GB sparse PCM backing store: per-line stored bits
+//!   and flip tags, with every write planned by a pluggable
 //!   [`pcm_schemes::WriteScheme`].
 //! * [`content`] — write-content models: the new-vs-old bit deltas are
 //!   synthesized at memory-write time (see DESIGN.md §5), letting workloads
@@ -56,13 +56,9 @@ pub mod sched;
 pub mod shard;
 pub mod stats;
 pub mod system;
-pub mod wear_leveling;
 pub mod writecache;
 
-pub use config::{
-    CacheConfig, CacheConfigBuilder, ConfigError, ControllerConfig, SystemConfig,
-    SystemConfigBuilder, WriteCacheConfig,
-};
+pub use config::{CacheConfig, ConfigError, ControllerConfig, SystemConfig, WriteCacheConfig};
 pub use content::{ExplicitContent, UniformRandomContent, WriteContent};
 pub use controller::{MemoryController, ReadEnqueue};
 pub use cpu::{Core, RequestSource, TraceOp, VecTrace};
@@ -75,5 +71,4 @@ pub use sched::{SchedConfig, SchedPolicy, WindowPoll};
 pub use shard::{rank_seed, RankPlan, RankSplit, ShardedSystem};
 pub use stats::{LatencyStats, SimResult};
 pub use system::{System, TraceLevel};
-pub use wear_leveling::{GapMove, StartGap};
 pub use writecache::{WriteAdmit, WriteCache, WriteCacheStats};

@@ -1,10 +1,9 @@
 //! The PCM main memory: a sparse 4 GB backing store whose every line write
 //! is planned by a pluggable [`WriteScheme`].
 //!
-//! Each touched line stores its array bits, flip-tag mask and wear counter.
+//! Each touched line stores its array bits and flip-tag mask.
 //! Untouched lines read as zero (freshly manufactured cells are amorphous).
 
-use crate::wear_leveling::StartGap;
 use pcm_schemes::{PackStats, SchemeConfig, WriteCtx, WritePlan, WriteScheme};
 use pcm_types::{
     coset_decode_unit, coset_row, coset_rows_available, AddrMap, LineData, PcmError, PhysAddr,
@@ -12,7 +11,7 @@ use pcm_types::{
 };
 use std::collections::HashMap;
 
-/// One resident line (contents only; wear lives with the physical slot).
+/// One resident line.
 #[derive(Clone, Debug)]
 struct StoredLine {
     data: LineData,
@@ -59,8 +58,6 @@ pub struct BatchOutcome {
 /// Aggregate memory statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MemoryStats {
-    /// Gap moves performed by the wear leveler.
-    pub gap_moves: u64,
     /// Serviced line writes.
     pub writes: u64,
     /// Serviced line reads.
@@ -94,10 +91,6 @@ pub struct PcmMainMemory {
     cfg: SchemeConfig,
     scheme: Box<dyn WriteScheme>,
     lines: HashMap<u64, StoredLine>,
-    /// Programming pulses absorbed per physical slot (cells don't move;
-    /// wear stays with the slot even as contents rotate through it).
-    wear: HashMap<u64, u64>,
-    leveler: Option<StartGap>,
     stats: MemoryStats,
 }
 
@@ -110,35 +103,8 @@ impl PcmMainMemory {
             cfg,
             scheme,
             lines: HashMap::new(),
-            wear: HashMap::new(),
-            leveler: None,
             stats: MemoryStats::default(),
         })
-    }
-
-    /// Enable Start-Gap wear leveling (ref. \[5\]): logical lines rotate
-    /// across physical slots, one gap move per `psi` writes.
-    pub fn with_wear_leveling(
-        cfg: SchemeConfig,
-        scheme: Box<dyn WriteScheme>,
-        psi: u64,
-    ) -> Result<Self, PcmError> {
-        let mut m = Self::new(cfg, scheme)?;
-        m.leveler = Some(StartGap::new(m.cfg.org.total_lines(), psi));
-        Ok(m)
-    }
-
-    /// The wear leveler, if enabled.
-    pub fn leveler(&self) -> Option<&StartGap> {
-        self.leveler.as_ref()
-    }
-
-    /// Resolve a logical line index to its physical slot.
-    fn physical_line(&self, logical: u64) -> u64 {
-        match &self.leveler {
-            Some(sg) => sg.map(logical),
-            None => logical,
-        }
     }
 
     /// The address map in use.
@@ -165,8 +131,7 @@ impl PcmMainMemory {
     /// device read — used by content synthesis and tests).
     pub fn peek_line(&self, addr: PhysAddr) -> Result<LineData, PcmError> {
         let d = self.map.decode(addr)?;
-        let phys = self.physical_line(d.line);
-        Ok(match self.lines.get(&phys) {
+        Ok(match self.lines.get(&d.line) {
             None => LineData::zeroed(self.line_len()),
             Some(s) => {
                 let mut out = s.data;
@@ -195,8 +160,7 @@ impl PcmMainMemory {
             });
         }
         let d = self.map.decode(addr)?;
-        let phys = self.physical_line(d.line);
-        let (old_stored, old_flips) = match self.lines.get(&phys) {
+        let (old_stored, old_flips) = match self.lines.get(&d.line) {
             None => (LineData::zeroed(self.line_len()), 0),
             Some(s) => (s.data, s.flips),
         };
@@ -212,35 +176,13 @@ impl PcmMainMemory {
             "scheme broke the decode invariant"
         );
 
-        let changed = (plan.cell_sets + plan.cell_resets) as u64;
         self.lines.insert(
-            phys,
+            d.line,
             StoredLine {
                 data: plan.stored,
                 flips: plan.flips,
             },
         );
-        *self.wear.entry(phys).or_insert(0) += changed;
-        if let Some(sg) = &mut self.leveler {
-            if let Some(mv) = sg.on_write() {
-                // Copy the displaced line into the gap. The gap slot's
-                // stale contents (left by an earlier rotation) make the
-                // copy differential, like any other PCM write.
-                if let Some(moved) = self.lines.get(&mv.from).cloned() {
-                    let copy_pulses = match self.lines.get(&mv.to) {
-                        Some(stale) if stale.data.len() == moved.data.len() => {
-                            pcm_types::hamming(&stale.data, &moved.data) as u64
-                        }
-                        _ => moved.data.popcount() as u64,
-                    };
-                    *self.wear.entry(mv.to).or_insert(0) += copy_pulses;
-                    // The vacated slot keeps its (now stale) contents; the
-                    // mapping never points at the gap.
-                    self.lines.insert(mv.to, moved);
-                }
-                self.stats.gap_moves += 1;
-            }
-        }
         self.stats.writes += 1;
         self.stats.write_units_sum += plan.write_units_equiv;
         self.stats.energy += plan.energy;
@@ -289,7 +231,7 @@ impl PcmMainMemory {
             });
         }
         // Gather the old state of every line up front (ctxs borrow it).
-        let mut phys_lines = Vec::with_capacity(writes.len());
+        let mut line_idx = Vec::with_capacity(writes.len());
         let mut olds = Vec::with_capacity(writes.len());
         for (addr, new) in writes {
             if new.len() != self.line_len() {
@@ -299,12 +241,11 @@ impl PcmMainMemory {
                 });
             }
             let d = self.map.decode(*addr)?;
-            let phys = self.physical_line(d.line);
-            let (stored, flips) = match self.lines.get(&phys) {
+            let (stored, flips) = match self.lines.get(&d.line) {
                 None => (LineData::zeroed(self.line_len()), 0),
                 Some(s) => (s.data, s.flips),
             };
-            phys_lines.push(phys);
+            line_idx.push(d.line);
             olds.push((stored, flips));
         }
         let ctxs: Vec<WriteCtx<'_>> = writes
@@ -321,21 +262,19 @@ impl PcmMainMemory {
             Some(batch) => {
                 let mut partitions_used = 0;
                 let mut coset_rows = [0u32; 4];
-                for ((plan, phys), (_, new)) in batch.plans.iter().zip(&phys_lines).zip(writes) {
+                for ((plan, line), (_, new)) in batch.plans.iter().zip(&line_idx).zip(writes) {
                     debug_assert!(plan.check_decodes_to(new).is_ok());
                     partitions_used = partitions_used.max(plan.partitions_used);
                     if let Some(r) = self.plan_coset_row(plan) {
                         coset_rows[r as usize] += 1;
                     }
-                    let changed = (plan.cell_sets + plan.cell_resets) as u64;
                     self.lines.insert(
-                        *phys,
+                        *line,
                         StoredLine {
                             data: plan.stored,
                             flips: plan.flips,
                         },
                     );
-                    *self.wear.entry(*phys).or_insert(0) += changed;
                     self.stats.writes += 1;
                     self.stats.write_units_sum += plan.write_units_equiv;
                     self.stats.energy += plan.energy;
@@ -370,23 +309,6 @@ impl PcmMainMemory {
                 })
             }
         }
-    }
-
-    /// Wear (total programming pulses) of the line containing `addr`.
-    pub fn line_wear(&self, addr: PhysAddr) -> Result<u64, PcmError> {
-        let d = self.map.decode(addr)?;
-        let phys = self.physical_line(d.line);
-        Ok(self.wear.get(&phys).copied().unwrap_or(0))
-    }
-
-    /// Highest per-slot wear across touched physical lines.
-    pub fn max_line_wear(&self) -> u64 {
-        self.wear.values().copied().max().unwrap_or(0)
-    }
-
-    /// Number of physical slots that have absorbed any wear.
-    pub fn worn_slots(&self) -> usize {
-        self.wear.len()
     }
 
     /// Number of lines touched so far.
@@ -451,17 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn wear_accumulates_with_changed_bits() {
-        let mut m = mem(Box::new(DcwWrite));
-        let mut line = LineData::zeroed(64);
-        line.set_unit(0, 0b11);
-        m.write_line(0, &line).unwrap();
-        assert_eq!(m.line_wear(0).unwrap(), 2);
-        m.write_line(0, &line).unwrap();
-        assert_eq!(m.line_wear(0).unwrap(), 2, "identical rewrite adds no wear");
-    }
-
-    #[test]
     fn stats_track_write_units() {
         let mut m = mem(Box::new(DcwWrite));
         let line = LineData::from_units(&[1; 8]);
@@ -484,65 +395,6 @@ mod tests {
             1.0,
             "56 SET-equivalents pack into one unit"
         );
-    }
-
-    #[test]
-    fn wear_leveling_spreads_a_hot_line() {
-        // Shrink the memory so the gap rotation is visible quickly.
-        let mut cfg = SchemeConfig::paper_baseline();
-        cfg.org.capacity_bytes = 8 * 64; // 8 lines
-        let hot = 0u64;
-        let mut line = LineData::zeroed(64);
-
-        // Without leveling: all wear lands on one physical line.
-        let mut plain = PcmMainMemory::new(cfg, Box::new(DcwWrite)).unwrap();
-        for i in 0..640u64 {
-            line.xor_unit(0, 1 << (i % 60));
-            plain.write_line(hot, &line).unwrap();
-        }
-        let plain_max = plain.max_line_wear();
-        assert_eq!(plain.resident_lines(), 1);
-
-        // With Start-Gap (psi = 10): the hot line rotates through slots.
-        let mut lev = PcmMainMemory::with_wear_leveling(cfg, Box::new(DcwWrite), 10).unwrap();
-        let mut line = LineData::zeroed(64);
-        for i in 0..640u64 {
-            line.xor_unit(0, 1 << (i % 60));
-            lev.write_line(hot, &line).unwrap();
-            assert_eq!(lev.peek_line(hot).unwrap(), line, "contents follow the gap");
-        }
-        assert_eq!(lev.stats().gap_moves, 64);
-        assert!(
-            lev.max_line_wear() < plain_max / 2,
-            "leveled max wear {} vs unleveled {}",
-            lev.max_line_wear(),
-            plain_max
-        );
-        assert!(lev.worn_slots() >= 8, "wear spread across physical slots");
-    }
-
-    #[test]
-    fn wear_leveling_preserves_all_contents() {
-        let mut cfg = SchemeConfig::paper_baseline();
-        cfg.org.capacity_bytes = 16 * 64;
-        let mut mem = PcmMainMemory::with_wear_leveling(cfg, Box::new(DcwWrite), 3).unwrap();
-        // Tag every line, churn, then verify.
-        for i in 0..16u64 {
-            let tag = LineData::from_units(&[i + 1; 8]);
-            mem.write_line(i * 64, &tag).unwrap();
-        }
-        for round in 0..100u64 {
-            let i = round % 16;
-            let tag = LineData::from_units(&[i + 1; 8]);
-            mem.write_line(i * 64, &tag).unwrap();
-        }
-        for i in 0..16u64 {
-            assert_eq!(
-                mem.peek_line(i * 64).unwrap(),
-                LineData::from_units(&[i + 1; 8]),
-                "line {i} contents survived rotation"
-            );
-        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! ```
 //! use pcm_memsim::prelude::*;
 //!
-//! let cfg = SystemConfig::builder().small_caches().build().unwrap();
+//! let mut cfg = SystemConfig::paper_baseline();
+//! cfg.cores = 2;
 //! let scheme: Box<dyn WriteScheme> = Box::new(DcwWrite);
 //! assert_eq!(scheme.name(), "DCW (baseline)");
 //! assert!(cfg.validate().is_ok());
@@ -19,8 +20,7 @@
 //! analytic models) stays behind its module path.
 
 pub use crate::config::{
-    CacheConfig, CacheConfigBuilder, ConfigError, ControllerConfig, SystemConfig,
-    SystemConfigBuilder, WriteCacheConfig,
+    CacheConfig, ConfigError, ControllerConfig, SystemConfig, WriteCacheConfig,
 };
 pub use crate::content::{ExplicitContent, UniformRandomContent, WriteContent};
 pub use crate::cpu::{RequestSource, TraceOp, VecTrace};
@@ -34,8 +34,8 @@ pub use crate::system::{System, TraceLevel};
 pub use crate::writecache::{WriteAdmit, WriteCache, WriteCacheStats};
 
 pub use pcm_schemes::{
-    ConventionalWrite, DcwWrite, FlipNWrite, PreSetWrite, SchemeConfig, SchemeConfigBuilder,
-    SchemeSelect, ThreeStageWrite, TwoStageWrite, WriteCtx, WritePlan, WriteScheme,
+    ConventionalWrite, DcwWrite, FlipNWrite, PreSetWrite, SchemeConfig, SchemeSelect,
+    ThreeStageWrite, TwoStageWrite, WriteCtx, WritePlan, WriteScheme,
 };
 
 pub use pcm_telemetry::{

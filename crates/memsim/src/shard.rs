@@ -383,11 +383,8 @@ mod tests {
 
     #[test]
     fn cpu_level_traces_refuse_to_shard() {
-        let cfg = SystemConfig::builder()
-            .small_caches()
-            .cpu_level()
-            .build()
-            .unwrap();
+        let mut cfg = crate::config::small_caches();
+        cfg.level = TraceLevel::CpuLevel;
         assert!(ShardedSystem::build(cfg, &mut VecTrace::default()).is_err());
     }
 

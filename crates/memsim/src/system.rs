@@ -607,7 +607,9 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::WriteCacheConfig;
     use crate::cpu::TraceOp;
+    use crate::replacement::PolicySelect;
     use pcm_schemes::SchemeSelect;
 
     fn mem_trace_ops(n: usize, gap: u32, write_every: usize, stride: u64) -> Vec<TraceOp> {
@@ -727,11 +729,8 @@ mod tests {
 
     #[test]
     fn cpu_level_filters_through_caches() {
-        let cfg = SystemConfig::builder()
-            .small_caches()
-            .cores(1)
-            .build()
-            .unwrap();
+        let mut cfg = crate::config::small_caches();
+        cfg.cores = 1;
         // Two passes over a small footprint: second pass hits in cache.
         let mut ops = Vec::new();
         for _pass in 0..2 {
@@ -743,7 +742,6 @@ mod tests {
                 });
             }
         }
-        let mut cfg = cfg;
         cfg.level = TraceLevel::CpuLevel;
         let mut sys = System::build(cfg)
             .unwrap()
@@ -757,11 +755,8 @@ mod tests {
 
     #[test]
     fn cpu_level_writebacks_reach_memory() {
-        let cfg = SystemConfig::builder()
-            .small_caches()
-            .cores(1)
-            .build()
-            .unwrap();
+        let mut cfg = crate::config::small_caches();
+        cfg.cores = 1;
         // Dirty a footprint larger than L3 to force write-backs, then the
         // final flush catches the rest.
         let lines = (cfg.l3.size_bytes / 64) * 2;
@@ -772,7 +767,6 @@ mod tests {
                 addr: i * 64,
             })
             .collect();
-        let mut cfg = cfg;
         cfg.level = TraceLevel::CpuLevel;
         let mut sys = System::build(cfg)
             .unwrap()
@@ -886,12 +880,10 @@ mod tests {
     fn adaptive_scheduling_end_to_end() {
         use pcm_telemetry::{MemorySink, TraceSummary};
         let run_with = |sched: crate::sched::SchedConfig| {
-            let cfg = SystemConfig::builder()
-                .cores(1)
-                .sched(sched)
-                .scheme(SchemeSelect::Tetris)
-                .build()
-                .unwrap();
+            let mut cfg = SystemConfig::paper_baseline();
+            cfg.cores = 1;
+            cfg.controller.sched = sched;
+            cfg.mem.select = SchemeSelect::Tetris;
             let mut sys = System::build(cfg)
                 .unwrap()
                 .with_trace(Box::new(VecTrace::new(vec![mem_trace_ops(800, 1, 2, 64)])))
@@ -918,12 +910,10 @@ mod tests {
         );
 
         // The trace carries the policy decisions end-to-end.
-        let cfg = SystemConfig::builder()
-            .cores(1)
-            .adaptive_scheduling()
-            .scheme(SchemeSelect::Tetris)
-            .build()
-            .unwrap();
+        let mut cfg = SystemConfig::paper_baseline();
+        cfg.cores = 1;
+        cfg.controller.sched = crate::sched::SchedConfig::adaptive();
+        cfg.mem.select = SchemeSelect::Tetris;
         let mut sys = System::build(cfg)
             .unwrap()
             .with_trace(Box::new(VecTrace::new(vec![mem_trace_ops(800, 1, 2, 64)])))
@@ -953,7 +943,6 @@ mod tests {
 
     #[test]
     fn write_cache_coalesces_and_conserves_writes() {
-        use crate::replacement::PolicySelect;
         // A hot set smaller than the frame budget: every line is written
         // many times but drains to PCM exactly once.
         let ops: Vec<TraceOp> = (0..512)
@@ -963,12 +952,9 @@ mod tests {
                 addr: (i % 16) * 64,
             })
             .collect();
-        let cfg = SystemConfig::builder()
-            .cores(1)
-            .write_cache(32)
-            .write_cache_policy(PolicySelect::Lru)
-            .build()
-            .unwrap();
+        let mut cfg = SystemConfig::paper_baseline();
+        cfg.cores = 1;
+        cfg.write_cache = WriteCacheConfig::with_frames(32, PolicySelect::Lru);
         let mut sys = System::build(cfg)
             .unwrap()
             .with_trace(Box::new(VecTrace::new(vec![ops])))
@@ -998,11 +984,9 @@ mod tests {
                 addr: 0x40,
             },
         ];
-        let cfg = SystemConfig::builder()
-            .cores(1)
-            .write_cache(8)
-            .build()
-            .unwrap();
+        let mut cfg = SystemConfig::paper_baseline();
+        cfg.cores = 1;
+        cfg.write_cache = WriteCacheConfig::with_frames(8, PolicySelect::Lru);
         let mut sys = System::build(cfg)
             .unwrap()
             .with_trace(Box::new(VecTrace::new(vec![ops])))
@@ -1020,12 +1004,10 @@ mod tests {
         // budget: capacity evictions and watermark drains both engage,
         // and every write still lands in PCM.
         let ops = mem_trace_ops(600, 1, 1, 64);
-        let mut cfg = SystemConfig::builder()
-            .cores(1)
-            .write_cache(16)
-            .drain_watermark(8)
-            .build()
-            .unwrap();
+        let mut cfg = SystemConfig::paper_baseline();
+        cfg.cores = 1;
+        cfg.write_cache = WriteCacheConfig::with_frames(16, PolicySelect::Lru);
+        cfg.write_cache.drain_watermark = 8;
         cfg.mem.select = SchemeSelect::Dcw;
         let mut sys = System::build(cfg)
             .unwrap()
@@ -1097,7 +1079,6 @@ mod tests {
     /// with the serving engine.
     #[test]
     fn write_cache_run_golden() {
-        use crate::replacement::PolicySelect;
         use pcm_telemetry::JsonlSink;
         let ops: Vec<TraceOp> = (0..1200u64)
             .map(|i| {
@@ -1113,14 +1094,11 @@ mod tests {
                 TraceOp { gap: 0, kind, addr }
             })
             .collect();
-        let cfg = SystemConfig::builder()
-            .cores(1)
-            .scheme(SchemeSelect::Tetris)
-            .write_cache(16)
-            .drain_watermark(8)
-            .write_cache_policy(PolicySelect::TwoQ)
-            .build()
-            .unwrap();
+        let mut cfg = SystemConfig::paper_baseline();
+        cfg.cores = 1;
+        cfg.mem.select = SchemeSelect::Tetris;
+        cfg.write_cache = WriteCacheConfig::with_frames(16, PolicySelect::TwoQ);
+        cfg.write_cache.drain_watermark = 8;
         let path =
             std::env::temp_dir().join(format!("pcm_memsim_wc_golden_{}.jsonl", std::process::id()));
         let mut sys = System::build(cfg)

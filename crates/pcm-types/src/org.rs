@@ -89,13 +89,19 @@ impl MemOrg {
         if !self.cache_line_bytes.is_power_of_two() {
             return Err(e("cache line size must be a power of two"));
         }
+        // Bounding the line first keeps the arithmetic below overflow-free.
+        if self.cache_line_bytes as usize > crate::data::MAX_LINE_BYTES {
+            return Err(e("cache line exceeds LineData capacity"));
+        }
         if self.data_unit_bits != 64 && self.data_unit_bits != 32 {
             return Err(e("data unit width must be 32 or 64 bits"));
         }
         if self.cache_line_bytes * 8 % self.data_unit_bits != 0 {
             return Err(e("cache line must be a whole number of data units"));
         }
-        if self.cache_line_bytes % self.write_unit_bytes() != 0 {
+        let write_unit_bytes =
+            self.chips_per_bank as u64 * self.write_unit_bits_per_chip as u64 / 8;
+        if write_unit_bytes == 0 || self.cache_line_bytes as u64 % write_unit_bytes != 0 {
             return Err(e("cache line must be a whole number of write units"));
         }
         if self.capacity_bytes % self.cache_line_bytes as u64 != 0 {
@@ -103,9 +109,6 @@ impl MemOrg {
         }
         if self.data_units_per_line() as usize > crate::data::MAX_UNITS_PER_LINE {
             return Err(e("too many data units per line for fixed buffers"));
-        }
-        if self.cache_line_bytes as usize > crate::data::MAX_LINE_BYTES {
-            return Err(e("cache line exceeds LineData capacity"));
         }
         Ok(())
     }

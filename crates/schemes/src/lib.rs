@@ -51,8 +51,6 @@ pub use fnw::FlipNWrite;
 pub use palp::PalpWrite;
 pub use preset::{register_tetris_factory, ParseSchemeError, PreSetWrite, SchemeSelect};
 pub use three_stage::ThreeStageWrite;
-pub use traits::{
-    BatchPlan, PackStats, SchemeConfig, SchemeConfigBuilder, WriteCtx, WritePlan, WriteScheme,
-};
+pub use traits::{BatchPlan, PackStats, SchemeConfig, WriteCtx, WritePlan, WriteScheme};
 pub use two_stage::TwoStageWrite;
 pub use wire::WireWrite;

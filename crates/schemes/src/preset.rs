@@ -363,7 +363,10 @@ mod tests {
             (Palp, "PALP"),
             (Wire, "WIRE"),
         ] {
-            let cfg = SchemeConfig::builder().select(sel).build().unwrap();
+            let cfg = SchemeConfig {
+                select: sel,
+                ..SchemeConfig::paper_baseline()
+            };
             assert_eq!(cfg.instantiate().name(), name, "select {sel:?}");
         }
     }

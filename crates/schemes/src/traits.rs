@@ -45,72 +45,6 @@ impl SchemeConfig {
         self.org.validate()?;
         Ok(())
     }
-
-    /// Start a fluent builder from the Table II baseline.
-    pub fn builder() -> SchemeConfigBuilder {
-        SchemeConfigBuilder {
-            cfg: Self::paper_baseline(),
-        }
-    }
-}
-
-/// Fluent construction of a [`SchemeConfig`];
-/// [`SchemeConfigBuilder::build`] folds in [`SchemeConfig::validate`].
-///
-/// ```
-/// use pcm_schemes::SchemeConfig;
-/// let cfg = SchemeConfig::builder().capacity_bytes(1 << 20).build().unwrap();
-/// assert_eq!(cfg.org.capacity_bytes, 1 << 20);
-/// ```
-#[derive(Clone, Copy, Debug)]
-#[must_use = "call .build() to obtain the validated SchemeConfig"]
-pub struct SchemeConfigBuilder {
-    cfg: SchemeConfig,
-}
-
-impl SchemeConfigBuilder {
-    /// Pulse timings.
-    pub fn timings(mut self, t: PcmTimings) -> Self {
-        self.cfg.timings = t;
-        self
-    }
-
-    /// Current budget and asymmetry.
-    pub fn power(mut self, p: PowerParams) -> Self {
-        self.cfg.power = p;
-        self
-    }
-
-    /// Memory organization.
-    pub fn org(mut self, o: MemOrg) -> Self {
-        self.cfg.org = o;
-        self
-    }
-
-    /// Per-bit energies.
-    pub fn energy(mut self, e: EnergyParams) -> Self {
-        self.cfg.energy = e;
-        self
-    }
-
-    /// Which scheme [`SchemeConfig::instantiate`] constructs.
-    pub fn select(mut self, s: crate::preset::SchemeSelect) -> Self {
-        self.cfg.select = s;
-        self
-    }
-
-    /// Total device capacity in bytes (shorthand for shrinking the
-    /// organization in tests).
-    pub fn capacity_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.org.capacity_bytes = bytes;
-        self
-    }
-
-    /// Validate and return the finished configuration.
-    pub fn build(self) -> Result<SchemeConfig, PcmError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
 }
 
 /// One cache-line write to plan: the array's current bits and the new
@@ -320,14 +254,12 @@ mod tests {
 
     #[test]
     fn scheme_builder_validates() {
-        let cfg = SchemeConfig::builder()
-            .capacity_bytes(8 * 64)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.org.capacity_bytes, 8 * 64);
-        assert_eq!(cfg.timings, SchemeConfig::paper_baseline().timings);
-        // Capacity that is not a whole number of lines never escapes.
-        assert!(SchemeConfig::builder().capacity_bytes(1).build().is_err());
+        let mut cfg = SchemeConfig::paper_baseline();
+        cfg.org.capacity_bytes = 8 * 64;
+        assert!(cfg.validate().is_ok());
+        // Capacity that is not a whole number of lines is rejected.
+        cfg.org.capacity_bytes = 1;
+        assert!(cfg.validate().is_err());
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! pcm-serve report TRACE.jsonl
 //!
 //! ENGINE: --ranks N | --scheme dcw|fnw|two-stage|three-stage|tetris|preset
-//!         --shed-watermark N | --telemetry OUT.jsonl | --quick
+//!         --shed-watermark N | --telemetry OUT.jsonl
 //! LOAD:   --requests N | --tenants N | --mean-gap-ns N | --burstiness F
 //!         --write-frac F | --hot-frac F | --seed N
 //! ```
+//!
+//! A flag the subcommand does not read is a usage error (exit 2).
 //!
 //! `listen` binds a loopback port (printing `listening <addr>` on stdout
 //! so scripts can discover the port), serves exactly one connection, and
@@ -21,7 +23,6 @@
 //! engine. `report` renders per-tenant SLO percentiles from a JSONL
 //! telemetry file produced via `--telemetry`.
 
-use pcm_memsim::SystemConfig;
 use pcm_schemes::SchemeSelect;
 use pcm_serve::engine::{ServeConfig, ServeEngine};
 use pcm_serve::load::{run_open_loop, ClosedLoop, ClosedLoopConfig, OpenLoop, OpenLoopConfig};
@@ -48,11 +49,31 @@ const USAGE: &str = "usage: pcm-serve <listen|stdin|open-loop|closed-loop|report
   listen      [--addr HOST:PORT] [engine flags]     serve one TCP connection
   stdin       [engine flags]                        serve requests from stdin
   open-loop   [engine+load flags] [--connect ADDR]  generated arrival stream
-  closed-loop [engine+load flags] [--users N --rpu N --think-ns N]
+  closed-loop [engine flags] [--users N --rpu N --think-ns N]
+              [--tenants N --write-frac F --seed N]
   report      TRACE.jsonl                           per-tenant SLO table
-engine flags: --ranks N --scheme NAME --shed-watermark N --telemetry OUT.jsonl --quick
+engine flags: --ranks N --scheme NAME --shed-watermark N --telemetry OUT.jsonl
 load flags:   --requests N --tenants N --mean-gap-ns N --burstiness F
               --write-frac F --hot-frac F --seed N";
+
+const ENGINE_FLAGS: &[&str] = &["--ranks", "--scheme", "--shed-watermark", "--telemetry"];
+const LOAD_FLAGS: &[&str] = &[
+    "--requests",
+    "--tenants",
+    "--mean-gap-ns",
+    "--burstiness",
+    "--write-frac",
+    "--hot-frac",
+    "--seed",
+];
+const CLOSED_LOOP_FLAGS: &[&str] = &[
+    "--users",
+    "--rpu",
+    "--think-ns",
+    "--tenants",
+    "--write-frac",
+    "--seed",
+];
 
 fn fail(msg: String) -> ! {
     eprintln!("pcm-serve: {msg}");
@@ -64,21 +85,35 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// A subcommand's arguments: `--flag value` pairs plus positionals.
 struct Flags {
     args: Vec<String>,
 }
 
 impl Flags {
+    /// Accept `args` if every `--flag` in it is one of `known`.
+    fn parse(args: Vec<String>, known: &[&[&str]]) -> Flags {
+        let mut i = 0;
+        while i < args.len() {
+            let a = &args[i];
+            if a.starts_with("--") {
+                if !known.iter().any(|set| set.contains(&a.as_str())) {
+                    usage_error(&format!("unknown flag `{a}`"));
+                }
+                i += 2;
+            } else {
+                i += 1;
+            }
+        }
+        Flags { args }
+    }
+
     fn get(&self, name: &str) -> Option<&str> {
         let i = self.args.iter().position(|a| a == name)?;
         match self.args.get(i + 1) {
             Some(v) => Some(v),
             None => usage_error(&format!("{name} needs a value")),
         }
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
     }
 
     fn num<T: FromStr>(&self, name: &str, default: T) -> T {
@@ -96,7 +131,7 @@ impl Flags {
         while i < self.args.len() {
             let a = &self.args[i];
             if a.starts_with("--") {
-                i += if a == "--quick" { 1 } else { 2 };
+                i += 2;
             } else {
                 return Some(a);
             }
@@ -106,28 +141,19 @@ impl Flags {
 }
 
 fn serve_config(f: &Flags) -> ServeConfig {
-    let mut b = SystemConfig::builder();
-    if f.has("--quick") {
-        b = b.small_caches();
-    }
+    let mut cfg = ServeConfig::default();
     if let Some(r) = f.get("--ranks") {
-        let ranks: u32 = r
+        cfg.system.mem.org.ranks = r
             .parse()
             .unwrap_or_else(|_| usage_error(&format!("--ranks: cannot parse `{r}`")));
-        b = b.ranks(ranks);
     }
     if let Some(s) = f.get("--scheme") {
-        let select =
+        cfg.system.mem.select =
             SchemeSelect::from_str(s).unwrap_or_else(|e| usage_error(&format!("--scheme: {e}")));
-        b = b.scheme(select);
     }
-    let system = b
-        .build()
+    cfg.system
+        .validate()
         .unwrap_or_else(|e| fail(format!("invalid system configuration: {e}")));
-    let mut cfg = ServeConfig {
-        system,
-        ..ServeConfig::default()
-    };
     cfg.shed_watermark = f.num("--shed-watermark", cfg.system.controller.write_queue_cap);
     cfg
 }
@@ -284,13 +310,13 @@ fn main() {
         usage_error("missing subcommand");
     }
     let cmd = args.remove(0);
-    let f = Flags { args };
+    let flags = |known: &[&[&str]]| Flags::parse(args.clone(), known);
     match cmd.as_str() {
-        "listen" => cmd_listen(&f),
-        "stdin" => cmd_stdin(&f),
-        "open-loop" => cmd_open_loop(&f),
-        "closed-loop" => cmd_closed_loop(&f),
-        "report" => match f.positional() {
+        "listen" => cmd_listen(&flags(&[ENGINE_FLAGS, &["--addr"]])),
+        "stdin" => cmd_stdin(&flags(&[ENGINE_FLAGS])),
+        "open-loop" => cmd_open_loop(&flags(&[ENGINE_FLAGS, LOAD_FLAGS, &["--connect"]])),
+        "closed-loop" => cmd_closed_loop(&flags(&[ENGINE_FLAGS, CLOSED_LOOP_FLAGS])),
+        "report" => match flags(&[]).positional() {
             Some(path) => cmd_report(path),
             None => usage_error("report needs a TRACE.jsonl argument"),
         },

@@ -429,22 +429,18 @@ impl ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcm_memsim::{PolicySelect, WriteCacheConfig};
     use pcm_telemetry::{MemorySink, NullSink};
 
-    fn quick_cfg(ranks: u32) -> ServeConfig {
-        ServeConfig {
-            system: SystemConfig::builder()
-                .small_caches()
-                .ranks(ranks)
-                .build()
-                .unwrap(),
-            ..ServeConfig::default()
-        }
+    fn ranks_cfg(ranks: u32) -> ServeConfig {
+        let mut cfg = ServeConfig::default();
+        cfg.system.mem.org.ranks = ranks;
+        cfg
     }
 
     #[test]
     fn requests_complete_with_positive_latency() {
-        let mut e = ServeEngine::new(quick_cfg(1), Box::new(NullSink)).unwrap();
+        let mut e = ServeEngine::new(ranks_cfg(1), Box::new(NullSink)).unwrap();
         let mut t = Ps::ZERO;
         for i in 0..64u64 {
             let kind = if i % 4 == 0 {
@@ -466,7 +462,7 @@ mod tests {
 
     #[test]
     fn saturation_sheds_instead_of_growing_queues() {
-        let mut cfg = quick_cfg(1);
+        let mut cfg = ranks_cfg(1);
         cfg.shed_watermark = 4;
         let mut e = ServeEngine::new(cfg, Box::new(NullSink)).unwrap();
         // A same-instant write burst to one bank: must shed, not queue.
@@ -490,7 +486,7 @@ mod tests {
     #[test]
     fn multi_rank_run_is_deterministic() {
         let run = || {
-            let mut e = ServeEngine::new(quick_cfg(4), Box::new(MemorySink::default())).unwrap();
+            let mut e = ServeEngine::new(ranks_cfg(4), Box::new(MemorySink::default())).unwrap();
             let mut t = Ps::ZERO;
             for i in 0..512u64 {
                 let kind = if i % 3 == 0 {
@@ -514,13 +510,8 @@ mod tests {
 
     #[test]
     fn write_cache_lane_absorbs_hot_writes() {
-        let mut cfg = quick_cfg(2);
-        cfg.system = SystemConfig::builder()
-            .small_caches()
-            .ranks(2)
-            .write_cache(32)
-            .build()
-            .unwrap();
+        let mut cfg = ranks_cfg(2);
+        cfg.system.write_cache = WriteCacheConfig::with_frames(32, PolicySelect::Lru);
         let mut e = ServeEngine::new(cfg, Box::new(NullSink)).unwrap();
         let mut t = Ps::ZERO;
         // Hammer a handful of hot lines: the DRAM tier coalesces, every
@@ -542,12 +533,8 @@ mod tests {
     #[test]
     fn write_cache_serves_reads_and_stays_deterministic() {
         let run = || {
-            let mut cfg = quick_cfg(1);
-            cfg.system = SystemConfig::builder()
-                .small_caches()
-                .write_cache(16)
-                .build()
-                .unwrap();
+            let mut cfg = ranks_cfg(1);
+            cfg.system.write_cache = WriteCacheConfig::with_frames(16, PolicySelect::Lru);
             let mut e = ServeEngine::new(cfg, Box::new(MemorySink::default())).unwrap();
             let mut t = Ps::ZERO;
             for i in 0..128u64 {
@@ -587,13 +574,8 @@ mod tests {
                 .iter()
                 .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
         };
-        let mut cfg = quick_cfg(2);
-        cfg.system = SystemConfig::builder()
-            .small_caches()
-            .ranks(2)
-            .write_cache(16)
-            .build()
-            .unwrap();
+        let mut cfg = ranks_cfg(2);
+        cfg.system.write_cache = WriteCacheConfig::with_frames(16, PolicySelect::Lru);
         let path =
             std::env::temp_dir().join(format!("pcm_serve_wc_golden_{}.jsonl", std::process::id()));
         let tel = JsonlSink::create(&path, TraceDetail::Fine).unwrap();
@@ -625,7 +607,7 @@ mod tests {
     #[test]
     fn tetris_knobs_reach_every_rank() {
         let write_latency = |analysis_overhead: Option<Ps>| {
-            let mut cfg = quick_cfg(2);
+            let mut cfg = ranks_cfg(2);
             cfg.system.mem.select = pcm_memsim::SchemeSelect::Tetris;
             if let Some(a) = analysis_overhead {
                 cfg.system.tetris.analysis_overhead = a;
@@ -652,7 +634,7 @@ mod tests {
 
     #[test]
     fn arrivals_clamp_to_the_clock() {
-        let mut e = ServeEngine::new(quick_cfg(1), Box::new(NullSink)).unwrap();
+        let mut e = ServeEngine::new(ranks_cfg(1), Box::new(NullSink)).unwrap();
         e.submit(0, AccessKind::Read, 0, Ps::from_ns(1_000))
             .unwrap();
         // An out-of-order arrival is clamped, not rewound.

@@ -279,15 +279,10 @@ mod tests {
     use super::*;
     use pcm_telemetry::NullSink;
 
-    fn small_system(ranks: u32) -> ServeConfig {
-        ServeConfig {
-            system: pcm_memsim::SystemConfig::builder()
-                .small_caches()
-                .ranks(ranks)
-                .build()
-                .unwrap(),
-            ..ServeConfig::default()
-        }
+    fn ranks_cfg(ranks: u32) -> ServeConfig {
+        let mut cfg = ServeConfig::default();
+        cfg.system.mem.org.ranks = ranks;
+        cfg
     }
 
     #[test]
@@ -322,7 +317,7 @@ mod tests {
 
     #[test]
     fn open_loop_serves_through_the_engine() {
-        let mut engine = ServeEngine::new(small_system(2), Box::new(NullSink)).unwrap();
+        let mut engine = ServeEngine::new(ranks_cfg(2), Box::new(NullSink)).unwrap();
         let cfg = OpenLoopConfig {
             requests: 1_024,
             mean_gap_ns: 200,
@@ -336,7 +331,7 @@ mod tests {
 
     #[test]
     fn closed_loop_users_all_finish() {
-        let mut engine = ServeEngine::new(small_system(1), Box::new(NullSink)).unwrap();
+        let mut engine = ServeEngine::new(ranks_cfg(1), Box::new(NullSink)).unwrap();
         let load = ClosedLoopConfig {
             users: 4,
             requests_per_user: 32,
@@ -367,7 +362,7 @@ mod tests {
     fn closed_loop_same_seed_is_byte_identical() {
         let run = || {
             let sink = SharedSink::default();
-            let mut engine = ServeEngine::new(small_system(2), Box::new(sink.clone())).unwrap();
+            let mut engine = ServeEngine::new(ranks_cfg(2), Box::new(sink.clone())).unwrap();
             let load = ClosedLoopConfig {
                 users: 6,
                 requests_per_user: 24,
@@ -389,7 +384,7 @@ mod tests {
 
     #[test]
     fn closed_loop_terminates_under_forced_shedding() {
-        let mut cfg = small_system(1);
+        let mut cfg = ranks_cfg(1);
         cfg.shed_watermark = 2;
         let mut engine = ServeEngine::new(cfg, Box::new(NullSink)).unwrap();
         let load = ClosedLoopConfig {

@@ -94,12 +94,10 @@ mod tests {
     use crate::engine::ServeConfig;
     use crate::load::{OpenLoop, OpenLoopConfig};
     use crate::proto::format_request;
-    use pcm_memsim::SystemConfig;
     use pcm_telemetry::NullSink;
 
     fn engine(shed_watermark: usize) -> ServeEngine {
         let cfg = ServeConfig {
-            system: SystemConfig::builder().small_caches().build().unwrap(),
             shed_watermark,
             ..ServeConfig::default()
         };

@@ -13,9 +13,6 @@
 //!   default [`NullSink`] is a no-op the optimizer removes from the hot
 //!   path; [`JsonlSink`] streams one JSON object per line to any
 //!   `io::Write`; [`MemorySink`] collects events in a `Vec` for tests.
-//! * [`Counter`] / [`Histogram`] — stdlib-only aggregation primitives
-//!   (the histogram uses logarithmic buckets, so percentile queries stay
-//!   O(buckets) regardless of sample count).
 //! * [`TraceSummary`] — turns a recorded event stream back into per-bank
 //!   utilization and queue-depth percentile tables (the `report`
 //!   subcommand of `tetris-experiments` renders these).
@@ -31,11 +28,9 @@
 pub mod async_sink;
 pub mod event;
 pub mod sink;
-pub mod stats;
 pub mod summary;
 
 pub use async_sink::{read_tagged_events, AsyncRankSink, AsyncTraceWriter};
 pub use event::{OpKind, TelemetryEvent, TraceDetail};
 pub use sink::{read_events, read_events_str, JsonlSink, MemorySink, NullSink, Telemetry};
-pub use stats::{Counter, Histogram};
 pub use summary::{percentile, BankUsage, TraceSummary};

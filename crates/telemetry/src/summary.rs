@@ -78,7 +78,7 @@ pub struct TraceSummary {
 }
 
 /// Nearest-rank percentile of a **sorted** slice (`p` in [0, 1]).
-/// Returns 0 for an empty slice. Exact, unlike [`crate::Histogram`].
+/// Returns 0 for an empty slice.
 /// Thin wrapper over the shared [`pcm_types::stats`] machinery.
 pub fn percentile(sorted: &[u32], p: f64) -> u32 {
     pcm_types::stats::percentile_sorted(sorted, p).unwrap_or(0)

@@ -10,14 +10,16 @@
 
 use pcm_memsim::SchedConfig;
 use tetris_experiments::sched_ablation::run_sched_ablation;
-use tetris_experiments::{delta_table, regression_check, RunConfig, WorkloadProfile};
+use tetris_experiments::{
+    delta_table, regression_check, RunConfig, WorkloadProfile, QUICK_INSTRUCTIONS,
+};
 
 fn main() {
     let p = WorkloadProfile::by_name("vips").unwrap();
-    let cfg = RunConfig::builder()
-        .quick()
-        .build()
-        .expect("valid run configuration");
+    let cfg = RunConfig {
+        instructions_per_core: QUICK_INSTRUCTIONS,
+        ..RunConfig::default()
+    };
 
     // The policy knobs are plain config — any run can opt in piecemeal:
     let piecemeal = SchedConfig {

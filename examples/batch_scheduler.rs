@@ -39,10 +39,10 @@ fn main() {
 
     // System level: drain the write queue in batches of 1/2/4.
     println!("full-system effect on ferret (write-queue drains):");
-    let mut run_cfg = RunConfig::builder()
-        .instructions_per_core(1_000_000)
-        .build()
-        .expect("valid run configuration");
+    let mut run_cfg = RunConfig {
+        instructions_per_core: 1_000_000,
+        ..RunConfig::default()
+    };
     let mut baseline = None;
     for batch_writes in [1usize, 2, 4] {
         run_cfg.system.controller.batch_writes = batch_writes;

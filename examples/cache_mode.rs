@@ -9,11 +9,16 @@ use pcm_memsim::prelude::*;
 use tetris_experiments::SchemeSelect;
 
 fn main() {
-    let cfg = SystemConfig::builder()
-        .small_caches()
-        .cores(2)
-        .build()
-        .expect("valid system configuration");
+    // Scaled-down caches (4 KB L1 / 32 KB L2 / 256 KB L3) so the
+    // streaming writer overflows the L3 quickly.
+    let mut cfg = SystemConfig::paper_baseline();
+    cfg.cores = 2;
+    cfg.l1.size_bytes = 4 << 10;
+    cfg.l1.assoc = 2;
+    cfg.l2.size_bytes = 32 << 10;
+    cfg.l2.assoc = 4;
+    cfg.l3.size_bytes = 256 << 10;
+    cfg.l3.assoc = 8;
 
     // Each core: a pointer-chase over a hot footprint (cache-resident)
     // interleaved with a streaming writer whose footprint exceeds the L3.

@@ -8,7 +8,7 @@
 
 use pcm_device::{FsmExecutor, PcmBank, ScheduledBitWrite, WriteOp};
 use pcm_memsim::prelude::*;
-use tetris_experiments::{run_one, RunConfig, SchemeSelect, WorkloadProfile};
+use tetris_experiments::{run_one, RunConfig, SchemeSelect, WorkloadProfile, QUICK_INSTRUCTIONS};
 use tetris_write::{build_jobs, read_stage};
 
 fn main() {
@@ -71,15 +71,15 @@ fn device_level() {
 fn system_level() {
     println!("system level — cell pulses per line write (ferret, quick run)");
     let p = WorkloadProfile::by_name("ferret").unwrap();
-    let cfg = RunConfig::builder()
-        .quick()
-        .build()
-        .expect("valid run configuration");
+    let cfg = RunConfig {
+        instructions_per_core: QUICK_INSTRUCTIONS,
+        ..RunConfig::default()
+    };
     println!(
         "  {:<20} {:>14} {:>18}",
         "scheme", "pulses/write", "relative lifetime"
     );
-    let mut baseline_wear = None;
+    let mut baseline_pulses = None;
     for kind in [
         SchemeSelect::Conventional,
         SchemeSelect::Dcw,
@@ -89,9 +89,9 @@ fn system_level() {
     ] {
         let r = run_one(p, kind, &cfg);
         let per_write = (r.cell_sets + r.cell_resets) as f64 / r.mem_writes.max(1) as f64;
-        let rel = match baseline_wear {
+        let rel = match baseline_pulses {
             None => {
-                baseline_wear = Some(per_write);
+                baseline_pulses = Some(per_write);
                 1.0
             }
             Some(b) => b / per_write,

@@ -3,7 +3,8 @@
 
 use pcm_memsim::cpu::VecTrace;
 use pcm_memsim::{
-    AccessKind, PcmMainMemory, ShardedSystem, System, SystemConfig, TraceOp, UniformRandomContent,
+    AccessKind, PcmMainMemory, ShardedSystem, System, SystemConfig, TraceLevel, TraceOp,
+    UniformRandomContent,
 };
 use pcm_schemes::{
     DcwWrite, FlipNWrite, SchemeConfig, ThreeStageWrite, TwoStageWrite, WriteScheme,
@@ -124,12 +125,15 @@ fn recorded_trace_replays_identically() {
 /// issued is eventually serviced, none invented.
 #[test]
 fn cpu_mode_conserves_work() {
-    let cfg = SystemConfig::builder()
-        .small_caches()
-        .cores(1)
-        .cpu_level()
-        .build()
-        .unwrap();
+    let mut cfg = SystemConfig::paper_baseline();
+    cfg.cores = 1;
+    cfg.l1.size_bytes = 4 << 10;
+    cfg.l1.assoc = 2;
+    cfg.l2.size_bytes = 32 << 10;
+    cfg.l2.assoc = 4;
+    cfg.l3.size_bytes = 256 << 10;
+    cfg.l3.assoc = 8;
+    cfg.level = TraceLevel::CpuLevel;
     let lines = 4096u64;
     let ops: Vec<TraceOp> = (0..lines)
         .map(|i| TraceOp {
@@ -164,10 +168,10 @@ fn end_to_end_determinism() {
         tetris_experiments::SchemeSelect::Dcw,
         tetris_experiments::SchemeSelect::Tetris,
     ] {
-        let cfg = tetris_experiments::RunConfig::builder()
-            .instructions_per_core(150_000)
-            .build()
-            .unwrap();
+        let cfg = tetris_experiments::RunConfig {
+            instructions_per_core: 150_000,
+            ..Default::default()
+        };
         let a = tetris_experiments::run_one(p, kind, &cfg);
         let b = tetris_experiments::run_one(p, kind, &cfg);
         assert_eq!(a.runtime, b.runtime);
@@ -244,10 +248,10 @@ fn traced_run_roundtrips_through_jsonl() {
     ));
     let sink = JsonlSink::create(&path, TraceDetail::Fine).unwrap();
     let p = WorkloadProfile::by_name("vips").unwrap();
-    let cfg = tetris_experiments::RunConfig::builder()
-        .instructions_per_core(100_000)
-        .build()
-        .unwrap();
+    let cfg = tetris_experiments::RunConfig {
+        instructions_per_core: 100_000,
+        ..Default::default()
+    };
     let r = tetris_experiments::run_one_traced(
         p,
         tetris_experiments::SchemeSelect::Tetris,

@@ -7,10 +7,10 @@ use tetris_experiments::figures::{self, MatrixView};
 use tetris_experiments::{run_matrix, run_one, RunConfig, SchemeSelect};
 
 fn cfg() -> RunConfig {
-    RunConfig::builder()
-        .instructions_per_core(400_000)
-        .build()
-        .unwrap()
+    RunConfig {
+        instructions_per_core: 400_000,
+        ..RunConfig::default()
+    }
 }
 
 fn mean(v: &[f64]) -> f64 {
