@@ -1,7 +1,7 @@
 //! Tetris Write configuration.
 
 use pcm_schemes::SchemeConfig;
-use pcm_types::{PcmError, Ps};
+use pcm_types::{Cycles, PcmError, Ps};
 
 /// Configuration of the Tetris Write scheme.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -36,7 +36,7 @@ impl TetrisConfig {
     pub fn paper_baseline() -> Self {
         TetrisConfig {
             scheme: SchemeConfig::paper_baseline(),
-            analysis_overhead: Ps::from_cycles(41, 400),
+            analysis_overhead: Ps::from_cycles(Cycles(41), 400),
             sort_decreasing: true,
             steal_write0_slack: true,
             min_one_write_unit: true,

@@ -26,7 +26,8 @@
 //! diagrams like the paper's Fig. 4; [`paper_literal`] preserves a
 //! transcription of the paper's (buggy) pseudocode for ablation studies;
 //! [`batch`] extends the packer across several queued lines (the authors'
-//! DATE'16 follow-up direction).
+//! DATE'16 follow-up direction); [`overhead`] models where the analysis
+//! stage's 41 cycles (§IV-D) go, in [`pcm_types::Cycles`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +36,7 @@ pub mod analysis;
 pub mod batch;
 pub mod config;
 pub mod gantt;
+pub mod overhead;
 pub mod paper_literal;
 pub mod read_stage;
 pub mod schedule;

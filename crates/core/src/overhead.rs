@@ -18,26 +18,26 @@
 //! extrapolates to the wider lines of the sweeps (128/256 B) and to
 //! batched analysis.
 
-use pcm_types::Ps;
+use pcm_types::{Cycles, Ps};
 
 /// Fixed pipeline cycles (input registration, `IN0` scaling, queue
 /// hand-off). Chosen so the n = 8 total matches the paper's measurement.
-pub const FIXED_CYCLES: u64 = 9;
+pub const FIXED_CYCLES: Cycles = Cycles(9);
 
 /// Cycles for one odd-even transposition sort of `n` elements.
-pub const fn sort_cycles(n: u64) -> u64 {
-    n
+pub const fn sort_cycles(n: u64) -> Cycles {
+    Cycles(n)
 }
 
 /// Cycles for one first-fit placement pass over `n` elements.
-pub const fn placement_cycles(n: u64) -> u64 {
-    n
+pub const fn placement_cycles(n: u64) -> Cycles {
+    Cycles(n)
 }
 
 /// Total analysis cycles for an `n`-data-unit line: two sorts + two
 /// placement passes + the fixed pipeline.
-pub const fn analysis_cycles(n: u64) -> u64 {
-    FIXED_CYCLES + 2 * sort_cycles(n) + 2 * placement_cycles(n)
+pub const fn analysis_cycles(n: u64) -> Cycles {
+    Cycles(FIXED_CYCLES.0 + 2 * sort_cycles(n).0 + 2 * placement_cycles(n).0)
 }
 
 /// Analysis latency at a given logic clock.
@@ -52,7 +52,7 @@ mod tests {
 
     #[test]
     fn matches_the_papers_41_cycles_at_n8() {
-        assert_eq!(analysis_cycles(8), 41);
+        assert_eq!(analysis_cycles(8), Cycles(41));
         assert_eq!(analysis_latency(8, 400), Ps(102_500), "102.5 ns at 400 MHz");
         // …which is exactly the default TetrisConfig overhead.
         assert_eq!(
@@ -64,8 +64,8 @@ mod tests {
     #[test]
     fn scales_linearly_with_line_width() {
         // 128 B line = 16 units; 256 B = 32 units.
-        assert_eq!(analysis_cycles(16), 9 + 64);
-        assert_eq!(analysis_cycles(32), 9 + 128);
+        assert_eq!(analysis_cycles(16), Cycles(9 + 64));
+        assert_eq!(analysis_cycles(32), Cycles(9 + 128));
         // Still well under one Treset at 400 MHz even for 256 B lines:
         // the analysis hides inside the read stage's shadow.
         assert!(analysis_latency(32, 400) < Ps::from_ns(430));

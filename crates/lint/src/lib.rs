@@ -3,33 +3,30 @@
 //!
 //! The simulator's headline guarantees (bit-for-bit Eq. 5 service times,
 //! 1-rank sharded ≡ unsharded, thread-count-independent results) rest on
-//! source-level invariants no test asserts: no wall-clock in sim logic, no
-//! unordered-container iteration on deterministic paths, timing constants
-//! only via `pcm_types` newtypes, ns/cycles kept apart across call
-//! boundaries. This crate machine-checks them in two layers: a
-//! comment/string-aware Rust lexer ([`lexer`]) feeds a recursive-descent
-//! item parser ([`items`]) whose per-file facts power both per-file rules
-//! and workspace-wide graph rules ([`rules`], [`graph`]) producing
-//! span-accurate diagnostics ([`diag`]), filtered through a
-//! justification-carrying waiver file ([`allowlist`]).
+//! source-level invariants that neither a test nor the compiler checks:
+//! no wall-clock in sim logic, no unordered-container iteration on
+//! deterministic paths, timing constants only via `pcm_types` newtypes,
+//! no dead config knobs. This crate checks them over the token stream of
+//! a comment/string-aware Rust lexer ([`lexer`]): per-file and
+//! workspace-wide rules ([`rules`]) produce span-accurate diagnostics
+//! ([`diag`]), filtered through a justification-carrying waiver file
+//! ([`allowlist`]). What rustc can hold (ns vs cycles, registry enums,
+//! telemetry matches) it leaves to rustc.
 //!
 //! Scanning is parallel (the `pcm_types::pool` work-stealing pool):
-//! every file is lexed, parsed and checked by the per-file rules on a
-//! worker, then the graph rules run once over all the parsed facts. Each
-//! run scans every file from source; the result does not depend on the
-//! thread count (`tests/golden.rs` pins that).
+//! every file is lexed and checked by the per-file rules on a worker, then
+//! the workspace rules run once over all the token streams. Each run scans
+//! every file from source; the result does not depend on the thread count
+//! (`tests/golden.rs` pins that).
 //!
 //! Run it as `cargo run -p pcm-lint -- --workspace`; the `static-analysis`
-//! CI job gates on a clean run. See `DESIGN.md` §10 and §15 for the rule
-//! catalog, waiver policy and item-graph design.
+//! CI job gates on a clean run. See `DESIGN.md` §10 for the rule catalog
+//! and waiver policy.
 
 pub mod allowlist;
 pub mod diag;
-pub mod graph;
-pub mod items;
 pub mod lexer;
 pub mod rules;
-pub mod units;
 pub mod workspace;
 
 use diag::Diagnostic;
@@ -55,11 +52,11 @@ pub struct LintReport {
 pub struct RunOptions {
     /// Rule ids to suppress entirely (the CLI's `--allow`).
     pub allow: Vec<String>,
-    /// Worker threads for the parse/scan phase; `0` means one per core.
+    /// Worker threads for the lex/scan phase; `0` means one per core.
     pub threads: usize,
 }
 
-/// In-memory result of the scan phase (parse + per-file rules + graph
+/// In-memory result of the scan phase (lex + per-file rules + workspace
 /// rules), before waivers. This is the unit the benches time.
 pub struct ScanOutcome {
     /// All raw findings, unsorted and unwaived.
@@ -68,9 +65,9 @@ pub struct ScanOutcome {
     pub files: usize,
 }
 
-/// Scan in-memory sources: lex/parse them in parallel on `threads`
-/// workers (0 = one per core) running the per-file rules, then run the
-/// graph rules on everything.
+/// Scan in-memory sources: lex them in parallel on `threads` workers
+/// (0 = one per core) running the per-file rules, then run the workspace
+/// rules on everything.
 pub fn scan(sources: &[(String, String)], ci_yml: Option<String>, threads: usize) -> ScanOutcome {
     let threads = if threads == 0 {
         pcm_types::pool::default_threads()
@@ -91,7 +88,7 @@ pub fn scan(sources: &[(String, String)], ci_yml: Option<String>, threads: usize
         files,
         ci_yml,
     };
-    for rule in rules::graph_rules() {
+    for rule in rules::workspace_rules() {
         diags.extend(rule.check(&ws));
     }
     ScanOutcome {

@@ -5,13 +5,13 @@
 //! `sched-ablation` and friends are how regressions are *demonstrated*.
 //! A subcommand that CI never runs rots invisibly (flag parsing drifts,
 //! output formats break) until someone needs it mid-investigation. The
-//! rule reads the `Some("…") =>` dispatch arms the item parser records in
-//! [`crate::items::FileFacts::subcommand_arms`] and requires each
-//! subcommand name to appear as a whitespace-delimited word in
-//! `.github/workflows/ci.yml`.
+//! rule finds the binary's `Some("…") =>` dispatch arms in its token
+//! stream and requires each subcommand name to appear as a
+//! whitespace-delimited word in `.github/workflows/ci.yml`.
 
-use super::Rule;
+use super::{Rule, SigView};
 use crate::diag::Diagnostic;
+use crate::lexer::TokKind;
 use crate::workspace::Workspace;
 
 const BIN_FILE: &str = "crates/experiments/src/bin/tetris-experiments.rs";
@@ -21,11 +21,15 @@ pub fn subcommands(ws: &Workspace) -> Vec<(String, usize)> {
     let Some(file) = ws.file(BIN_FILE) else {
         return Vec::new();
     };
-    file.facts
-        .subcommand_arms
-        .iter()
-        .filter(|arm| !arm.text.is_empty())
-        .map(|arm| (arm.text.clone(), arm.lo))
+    let v = SigView::new(file);
+    (0..v.len())
+        .filter(|&i| {
+            v.matches(i, &["Some", "("])
+                && v.matches(i + 3, &[")", "=", ">"])
+                && v.kind(i + 2) == TokKind::StrLit
+        })
+        .map(|i| (v.text(i + 2).trim_matches('"').to_string(), v.tok(i + 2).lo))
+        .filter(|(name, _)| !name.is_empty())
         .collect()
 }
 

@@ -6,27 +6,25 @@
 //!
 //! * **File rules** ([`FileRule`]) see one file's token stream at a time.
 //!   Their findings depend only on that file's bytes, so the scan runs
-//!   them at parse time, in parallel across files.
-//! * **Graph rules** ([`Rule`] entries in [`graph_rules`]) see the whole
-//!   workspace through the parsed [`crate::items::FileFacts`] and the
-//!   [`crate::graph::ItemGraph`]. Their findings depend on *other* files,
-//!   so they run once after every file is parsed, and they never touch
-//!   raw tokens.
+//!   them as it lexes, in parallel across files.
+//! * **Workspace rules** ([`Rule`] entries in [`workspace_rules`]) read
+//!   other files' tokens (or `ci.yml`) too, so they run once after every
+//!   file is lexed.
 //!
-//! All rules are syntactic — they work on tokens and recovered item
-//! structure, not on types — so each one documents the approximation it
-//! makes and errs on the side of flagging (waivers carry the
-//! justification when the approximation is wrong).
+//! All rules are syntactic — they work on tokens, not on types — so each
+//! one documents the approximation it makes and errs on the side of
+//! flagging (waivers carry the justification when the approximation is
+//! wrong). Invariants the compiler can hold are left to it: unit mix-ups
+//! are a type error (`pcm_types::Cycles` vs `Ps`), registry enums are
+//! generated from one table (`pcm_types::registry!`), and exhaustive
+//! `match`es keep telemetry consumers in step with `TelemetryEvent`.
 
 mod ci_parity;
 mod dead_config;
 mod lossy_casts;
 mod panic_policy;
-mod registry_parity;
 mod resurrected_api;
-mod telemetry_parity;
 mod typed_units;
-mod units_flow;
 mod unordered_iter;
 mod wall_clock;
 
@@ -81,9 +79,6 @@ pub const RULE_IDS: &[&str] = &[
     "panic-policy",
     "no-resurrected-apis",
     "ci-phase-parity",
-    "units-flow",
-    "telemetry-emit-count-parity",
-    "registry-parity-generic",
     "dead-config-knob",
     crate::allowlist::ALLOWLIST_RULE,
 ];
@@ -101,12 +96,9 @@ pub fn file_rules() -> Vec<Box<dyn FileRule>> {
 }
 
 /// The cross-file layer, in catalog order.
-pub fn graph_rules() -> Vec<Box<dyn Rule>> {
+pub fn workspace_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(ci_parity::CiPhaseParity),
-        Box::new(units_flow::UnitsFlow),
-        Box::new(telemetry_parity::TelemetryEmitCountParity),
-        Box::new(registry_parity::RegistryParityGeneric),
         Box::new(dead_config::DeadConfigKnob),
     ]
 }
@@ -117,7 +109,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         .into_iter()
         .map(|r| Box::new(PerFile(r)) as Box<dyn Rule>)
         .collect();
-    rules.extend(graph_rules());
+    rules.extend(workspace_rules());
     rules
 }
 
@@ -149,9 +141,12 @@ impl<'a> SigView<'a> {
         &self.file.toks[self.sig[i]]
     }
 
-    /// Its text.
-    pub fn text(&self, i: usize) -> &str {
-        self.tok(i).text(&self.file.src)
+    /// Its text, or `""` past the end (so rules can look ahead freely).
+    pub fn text(&self, i: usize) -> &'a str {
+        let file: &'a SourceFile = self.file;
+        self.sig
+            .get(i)
+            .map_or("", |&t| file.toks[t].text(&file.src))
     }
 
     /// Its kind.

@@ -1,7 +1,6 @@
 //! Workspace discovery: find the crates, load and lex their sources, and
 //! classify each file so rules know which invariants apply where.
 
-use crate::items::{self, FileFacts};
 use crate::lexer::{self, Tok};
 use std::path::{Path, PathBuf};
 
@@ -41,17 +40,13 @@ pub struct SourceFile {
     line_starts: Vec<usize>,
     /// Byte ranges covered by `#[cfg(test)]` / `#[test]` items.
     pub test_regions: Vec<(usize, usize)>,
-    /// Parsed item structure and cross-file facts (see [`crate::items`]).
-    pub facts: FileFacts,
 }
 
 impl SourceFile {
-    /// Lex and parse `src` and attach path metadata. `path` must be
-    /// repo-relative.
+    /// Lex `src` and attach path metadata. `path` must be repo-relative.
     pub fn new(path: &str, src: String) -> SourceFile {
         let toks = lexer::lex(&src);
         let test_regions = lexer::test_regions(&src, &toks);
-        let facts = items::parse(&src, &toks, &test_regions);
         let crate_name = crate_of(path);
         SourceFile {
             path: path.to_string(),
@@ -60,7 +55,6 @@ impl SourceFile {
             src,
             toks,
             test_regions,
-            facts,
         }
     }
 
@@ -153,11 +147,6 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Files belonging to crate `name` (by directory under `crates/`).
-    pub fn crate_files<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SourceFile> {
-        self.files.iter().filter(move |f| f.crate_name == name)
-    }
-
     /// The file at `path`, if scanned.
     pub fn file(&self, path: &str) -> Option<&SourceFile> {
         self.files.iter().find(|f| f.path == path)
@@ -224,7 +213,7 @@ pub fn source_paths(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
 }
 
 /// Load the whole workspace rooted at `root` (see [`source_paths`]) plus
-/// the CI workflow, lexing and parsing every file (no cache).
+/// the CI workflow, lexing every file (no cache).
 pub fn load(root: &Path) -> std::io::Result<Workspace> {
     let mut files = Vec::new();
     for (rel, p) in source_paths(root)? {

@@ -103,76 +103,6 @@ fn panic_policy_fixture() {
 }
 
 #[test]
-fn telemetry_emit_count_parity_fixture() {
-    let event = include_str!("fixtures/telemetry_event.rs");
-    let summary = include_str!("fixtures/telemetry_summary.rs");
-    let emit = include_str!("fixtures/telemetry_emit.rs");
-    let w = ws(
-        &[
-            ("crates/telemetry/src/event.rs", event),
-            ("crates/telemetry/src/summary.rs", summary),
-            ("crates/core/src/emit.rs", emit),
-        ],
-        None,
-    );
-    // `WritePause` is emitted but never counted by the summary fixture.
-    let diags = rule("telemetry-emit-count-parity").check(&w);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!((diags[0].line, diags[0].col), (8, 5));
-    assert_eq!(diags[0].path, "crates/telemetry/src/event.rs");
-    assert!(diags[0].msg.contains("WritePause"));
-    assert!(diags[0].msg.contains("dropped from `report`"));
-}
-
-#[test]
-fn telemetry_dead_variant_is_a_finding() {
-    let event = include_str!("fixtures/telemetry_event.rs");
-    let summary = include_str!("fixtures/telemetry_summary.rs");
-    // No emitter file at all: every variant is dead telemetry.
-    let w = ws(
-        &[
-            ("crates/telemetry/src/event.rs", event),
-            ("crates/telemetry/src/summary.rs", summary),
-        ],
-        None,
-    );
-    let diags = rule("telemetry-emit-count-parity").check(&w);
-    assert_eq!(diags.len(), 3, "{diags:?}");
-    assert!(diags.iter().all(|d| d.msg.contains("never constructed")));
-}
-
-#[test]
-fn telemetry_stale_summary_arm_is_a_finding() {
-    let event = include_str!("fixtures/telemetry_event.rs");
-    let emit = include_str!("fixtures/telemetry_emit.rs");
-    // The summary aggregates a variant that no longer exists.
-    let summary = "pub struct TraceSummary { pub n: u64 }\n\
-                   impl TraceSummary {\n\
-                       pub fn absorb(&mut self, e: &TelemetryEvent) {\n\
-                           match e {\n\
-                               TelemetryEvent::BankBusy { .. } => self.n += 1,\n\
-                               TelemetryEvent::DrainStart => self.n += 1,\n\
-                               TelemetryEvent::WritePause { .. } => self.n += 1,\n\
-                               TelemetryEvent::Departed => self.n += 1,\n\
-                           }\n\
-                       }\n\
-                   }\n";
-    let w = ws(
-        &[
-            ("crates/telemetry/src/event.rs", event),
-            ("crates/telemetry/src/summary.rs", summary),
-            ("crates/core/src/emit.rs", emit),
-        ],
-        None,
-    );
-    let diags = rule("telemetry-emit-count-parity").check(&w);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].path, "crates/telemetry/src/summary.rs");
-    assert!(diags[0].msg.contains("Departed"));
-    assert!(diags[0].msg.contains("stale arm"));
-}
-
-#[test]
 fn resurrected_api_fixture() {
     let src = include_str!("fixtures/resurrected_api.rs");
     let w = ws(&[("crates/memsim/src/fixture.rs", src)], None);
@@ -198,149 +128,11 @@ fn ci_parity_fixture() {
 }
 
 #[test]
-fn scheme_registry_fixture() {
-    let src = include_str!("fixtures/scheme_registry.rs");
-    let w = ws(&[("crates/schemes/src/preset.rs", src)], None);
-    let diags = rule("registry-parity-generic").check(&w);
-    let msgs: Vec<&str> = diags.iter().map(|d| d.msg.as_str()).collect();
-    assert_eq!(diags.len(), 3, "findings: {msgs:?}");
-    // ALL declares 2 entries for a 3-variant enum…
-    assert!(msgs.iter().any(|m| m.contains("declares 2 entries")));
-    // …and omits Gamma entirely…
-    assert!(msgs
-        .iter()
-        .any(|m| m.contains("SchemeSelect::Gamma is missing from SchemeSelect::ALL")));
-    // …while the canonical tag "beta" no longer parses back.
-    assert!(msgs
-        .iter()
-        .any(|m| m.contains("canonical tag \"beta\"") && m.contains("round-trips")));
-}
-
-#[test]
-fn scheme_registry_accepts_complete_registry() {
-    // The real preset.rs is a complete registry; lifted wholesale so the
-    // fixture tracks reality.
-    let src = include_str!("../../schemes/src/preset.rs");
-    let w = ws(&[("crates/schemes/src/preset.rs", src)], None);
-    assert_eq!(locs("registry-parity-generic", &w), vec![]);
-}
-
-#[test]
-fn policy_registry_fixture() {
-    let src = include_str!("fixtures/policy_registry.rs");
-    let w = ws(&[("crates/memsim/src/replacement.rs", src)], None);
-    let diags = rule("registry-parity-generic").check(&w);
-    let msgs: Vec<&str> = diags.iter().map(|d| d.msg.as_str()).collect();
-    assert_eq!(diags.len(), 3, "findings: {msgs:?}");
-    // ALL declares 2 entries for a 3-variant enum…
-    assert!(msgs.iter().any(|m| m.contains("declares 2 entries")));
-    // …and omits Fifo entirely…
-    assert!(msgs
-        .iter()
-        .any(|m| m.contains("PolicySelect::Fifo is missing from PolicySelect::ALL")));
-    // …while the canonical tag "clock" no longer parses back.
-    assert!(msgs
-        .iter()
-        .any(|m| m.contains("canonical tag \"clock\"") && m.contains("round-trips")));
-}
-
-#[test]
-fn policy_registry_accepts_complete_registry() {
-    // The real replacement.rs is a complete registry; lifted wholesale so
-    // the fixture tracks reality.
-    let src = include_str!("../../memsim/src/replacement.rs");
-    let w = ws(&[("crates/memsim/src/replacement.rs", src)], None);
-    assert_eq!(locs("registry-parity-generic", &w), vec![]);
-}
-
-#[test]
-fn registry_without_all_array_is_a_finding() {
-    // tag + from_str make it a registry enum; the missing ALL array is
-    // itself the finding.
-    let src = "pub enum Mode { A, B }\n\
-               impl Mode {\n\
-                   pub fn tag(&self) -> &'static str {\n\
-                       match self { Mode::A => \"a\", Mode::B => \"b\" }\n\
-                   }\n\
-               }\n\
-               impl FromStr for Mode {\n\
-                   type Err = ();\n\
-                   fn from_str(s: &str) -> Result<Self, ()> {\n\
-                       match s { \"a\" => Ok(Mode::A), \"b\" => Ok(Mode::B), _ => Err(()) }\n\
-                   }\n\
-               }\n";
-    let w = ws(&[("crates/core/src/mode.rs", src)], None);
-    let diags = rule("registry-parity-generic").check(&w);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!((diags[0].line, diags[0].col), (1, 10));
-    assert!(diags[0]
-        .msg
-        .contains("has no `ALL: [Mode; N]` registry array"));
-}
-
-#[test]
-fn lone_tag_accessor_is_not_a_registry() {
-    // TelemetryEvent-style: a tag() accessor with no FromStr and no ALL
-    // array is not sweep machinery; the rule must stay silent.
-    let src = "pub enum Label { X, Y }\n\
-               impl Label {\n\
-                   pub fn tag(&self) -> &'static str {\n\
-                       match self { Label::X => \"x\", Label::Y => \"y\" }\n\
-                   }\n\
-               }\n";
-    let w = ws(&[("crates/core/src/label.rs", src)], None);
-    assert_eq!(locs("registry-parity-generic", &w), vec![]);
-}
-
-#[test]
-fn units_flow_fixture() {
-    let src = include_str!("fixtures/units_flow.rs");
-    let w = ws(&[("crates/core/src/fixture.rs", src)], None);
-    let mut diags = rule("units-flow").check(&w);
-    diags.sort_by_key(|d| (d.line, d.col));
-    let got: Vec<(u32, u32, &str)> = diags
-        .iter()
-        .map(|d| (d.line, d.col, d.msg.as_str()))
-        .collect();
-    // 14: ns-named argument into the cycles-typed `schedule` parameter;
-    // 15: cycles-named let bound to an as_ns() initializer;
-    // 16: struct-literal init of `width_cycles` from as_ns();
-    // 17: field assignment of `width_cycles` from as_ns().
-    assert_eq!(diags.len(), 4, "{got:#?}");
-    assert_eq!(
-        diags.iter().map(|d| d.line).collect::<Vec<_>>(),
-        vec![14, 15, 16, 17]
-    );
-    assert!(diags[0]
-        .msg
-        .contains("parameter `deadline_cycles` of `schedule`"));
-    assert!(diags[1].msg.contains("`let width_cycles`"));
-    assert!(diags[2].msg.contains("field `width_cycles`"));
-    assert!(diags[3].msg.contains("field `width_cycles`"));
-}
-
-#[test]
-fn units_flow_ignores_agreeing_and_neutral_flows() {
-    // Same shapes, units consistent: no findings.
-    let src = "pub struct Window { pub width_cycles: u64 }\n\
-               pub fn schedule(deadline_cycles: u64) -> u64 { deadline_cycles }\n\
-               pub fn plan(t: &PcmTimings, freq: ClockFreq) -> u64 {\n\
-                   let budget_cycles = t.t_set.cycles_at(freq);\n\
-                   let ok = schedule(budget_cycles);\n\
-                   let mut w = Window { width_cycles: budget_cycles };\n\
-                   w.width_cycles = t.t_read.cycles_at(freq);\n\
-                   ok + w.width_cycles\n\
-               }\n";
-    let w = ws(&[("crates/core/src/fixture.rs", src)], None);
-    assert_eq!(locs("units-flow", &w), vec![]);
-}
-
-#[test]
 fn dead_config_fixture() {
     let src = include_str!("fixtures/dead_config.rs");
     let w = ws(&[("crates/memsim/src/fixture.rs", src)], None);
     let diags = rule("dead-config-knob").check(&w);
-    // `orphan_knob` is only touched by the builder and validate();
+    // `orphan_knob` is only touched by validate();
     // `capacity_lines` is read by model_step and stays clean.
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!((diags[0].line, diags[0].col), (5, 9));
@@ -395,48 +187,52 @@ fn json_report_round_trips_fixture_findings() {
     }
 }
 
-/// The graph rules' clean pass on the real tree is only meaningful if the
-/// item parser actually recovers the structures they check. Pin that the
-/// real registries, telemetry enum and config structs are all visible.
+/// The dead-config-knob rule's clean pass on the real tree is only
+/// meaningful if it finds the real config structs. Rename a field of each
+/// target in an in-memory copy and the rename must surface as a finding.
 #[test]
-fn real_tree_feeds_the_graph_rules() {
-    use pcm_lint::items::ItemKind;
+fn real_tree_feeds_dead_config_knob() {
     let root = pcm_lint::workspace::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root");
-    let w = pcm_lint::workspace::load(&root).expect("load workspace");
-
-    let event = w.file("crates/telemetry/src/event.rs").expect("event.rs");
-    let ev = event
-        .facts
-        .named(ItemKind::Enum, "TelemetryEvent")
-        .expect("TelemetryEvent parsed");
-    assert!(ev.fields.len() >= 15, "variants: {}", ev.fields.len());
-
-    let preset = w.file("crates/schemes/src/preset.rs").expect("preset.rs");
-    let all = preset
-        .facts
-        .items
+    let mut w = pcm_lint::workspace::load(&root).expect("load workspace");
+    assert_eq!(locs("dead-config-knob", &w), vec![]);
+    let edits = [
+        (
+            "crates/memsim/src/config.rs",
+            "    pub cores: usize,",
+            "cores",
+        ),
+        (
+            "crates/memsim/src/config.rs",
+            "    pub frames: usize,",
+            "frames",
+        ),
+        (
+            "crates/schemes/src/traits.rs",
+            "    pub select: crate::preset::SchemeSelect,",
+            "select",
+        ),
+    ];
+    for (path, line, field) in edits {
+        let file = w.files.iter_mut().find(|f| f.path == path).expect(path);
+        assert!(file.src.contains(line), "{path} declares `{line}`");
+        let src = file
+            .src
+            .replacen(line, &line.replace(field, "never_read_knob"), 1);
+        *file = SourceFile::new(path, src);
+    }
+    let diags = rule("dead-config-knob").check(&w);
+    assert_eq!(diags.len(), 3, "{diags:?}");
+    for (d, target) in diags
         .iter()
-        .find(|it| it.kind == ItemKind::Const && it.name == "ALL")
-        .expect("SchemeSelect::ALL parsed");
-    assert_eq!(all.ty, "[ SchemeSelect ; 9 ]");
-
-    let graph = pcm_lint::graph::ItemGraph::build(&w);
-    for target in ["SystemConfig", "SchemeConfig", "WriteCacheConfig"] {
-        let decls = graph
-            .structs
-            .get(target)
-            .unwrap_or_else(|| panic!("{target} indexed"));
+        .zip(["WriteCacheConfig", "SystemConfig", "SchemeConfig"])
+    {
         assert!(
-            decls.iter().any(|d| !d.item.fields.is_empty()),
-            "{target} has parsed fields"
+            d.msg.contains(&format!("`{target}::never_read_knob`")),
+            "{}",
+            d.msg
         );
     }
-    assert!(
-        graph.fns.len() > 100,
-        "workspace fn index populated ({} names)",
-        graph.fns.len()
-    );
 }
 
 /// The real tree must lint clean with the real allowlist — the same gate

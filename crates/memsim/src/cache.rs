@@ -172,12 +172,13 @@ mod tests {
     use super::*;
 
     use crate::replacement::PolicySelect;
+    use pcm_types::Cycles;
 
     fn geom(size_bytes: u64, assoc: u32) -> CacheConfig {
         CacheConfig {
             size_bytes,
             assoc,
-            latency_cycles: 1,
+            latency_cycles: Cycles(1),
             policy: PolicySelect::Lru,
         }
     }

@@ -4,7 +4,7 @@ use crate::replacement::PolicySelect;
 use crate::sched::SchedConfig;
 use crate::system::TraceLevel;
 use pcm_schemes::SchemeConfig;
-use pcm_types::{PcmError, Ps};
+use pcm_types::{Cycles, PcmError, Ps};
 use tetris_write::TetrisConfig;
 
 /// The error [`crate::System::build`] and [`SystemConfig::validate`] return
@@ -20,7 +20,7 @@ pub struct CacheConfig {
     /// Associativity (ways).
     pub assoc: u32,
     /// Access latency in CPU cycles.
-    pub latency_cycles: u32,
+    pub latency_cycles: Cycles,
     /// Replacement policy ([`PolicySelect::Lru`] reproduces the
     /// historical hard-coded LRU bit for bit).
     pub policy: PolicySelect,
@@ -219,19 +219,19 @@ impl SystemConfig {
             l1: CacheConfig {
                 size_bytes: 32 << 10,
                 assoc: 4,
-                latency_cycles: 2,
+                latency_cycles: Cycles(2),
                 policy: PolicySelect::Lru,
             },
             l2: CacheConfig {
                 size_bytes: 2 << 20,
                 assoc: 8,
-                latency_cycles: 20,
+                latency_cycles: Cycles(20),
                 policy: PolicySelect::Lru,
             },
             l3: CacheConfig {
                 size_bytes: 32 << 20,
                 assoc: 16,
-                latency_cycles: 50,
+                latency_cycles: Cycles(50),
                 policy: PolicySelect::Lru,
             },
             write_cache: WriteCacheConfig::disabled(),
@@ -244,7 +244,7 @@ impl SystemConfig {
 
     /// One CPU cycle.
     pub fn cycle(&self) -> Ps {
-        Ps::from_cycles(1, self.cpu_freq_mhz)
+        Ps::from_cycles(Cycles(1), self.cpu_freq_mhz)
     }
 
     /// Validate the configuration.
@@ -340,9 +340,9 @@ mod tests {
         let c = SystemConfig::paper_baseline();
         assert_eq!(c.cores, 4);
         assert_eq!(c.cycle(), Ps(500), "2 GHz → 500 ps");
-        assert_eq!(c.l1.latency_cycles, 2);
-        assert_eq!(c.l2.latency_cycles, 20);
-        assert_eq!(c.l3.latency_cycles, 50);
+        assert_eq!(c.l1.latency_cycles, Cycles(2));
+        assert_eq!(c.l2.latency_cycles, Cycles(20));
+        assert_eq!(c.l3.latency_cycles, Cycles(50));
         assert_eq!(c.controller.read_queue_cap, 32);
         assert!(c.validate().is_ok());
     }
@@ -379,13 +379,13 @@ mod tests {
         |c, v| c.cpu_freq_mhz = v,
         |c, v| c.l1.size_bytes = v,
         |c, v| c.l1.assoc = v as u32,
-        |c, v| c.l1.latency_cycles = v as u32,
+        |c, v| c.l1.latency_cycles = Cycles(v),
         |c, v| c.l2.size_bytes = v,
         |c, v| c.l2.assoc = v as u32,
-        |c, v| c.l2.latency_cycles = v as u32,
+        |c, v| c.l2.latency_cycles = Cycles(v),
         |c, v| c.l3.size_bytes = v,
         |c, v| c.l3.assoc = v as u32,
-        |c, v| c.l3.latency_cycles = v as u32,
+        |c, v| c.l3.latency_cycles = Cycles(v),
         |c, v| c.write_cache.frames = v as usize,
         |c, v| c.write_cache.drain_watermark = v as usize,
         |c, v| c.controller.read_queue_cap = v as usize,

@@ -7,7 +7,7 @@
 //! are fire-and-forget unless the memory write queue exerts backpressure.
 
 use crate::request::AccessKind;
-use pcm_types::{PhysAddr, Ps};
+use pcm_types::{Cycles, PhysAddr, Ps};
 
 /// One trace operation: `gap` compute instructions then a memory access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -135,7 +135,7 @@ impl Core {
     }
 
     /// Cycles the core was live, at the given clock.
-    pub fn cycles(&self, freq_mhz: u64) -> u64 {
+    pub fn cycles(&self, freq_mhz: u64) -> Cycles {
         self.finish_time.cycles_at(freq_mhz)
     }
 
@@ -182,7 +182,7 @@ mod tests {
     fn core_cycle_accounting() {
         let mut c = Core::new(0);
         c.finish_time = Ps::from_ns(1_000);
-        assert_eq!(c.cycles(2_000), 2_000, "1 µs at 2 GHz");
+        assert_eq!(c.cycles(2_000), Cycles(2_000), "1 µs at 2 GHz");
         assert!(!c.is_done());
         c.phase = CorePhase::Done;
         assert!(c.is_done());

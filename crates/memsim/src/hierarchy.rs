@@ -8,7 +8,7 @@
 
 use crate::cache::{Cache, CacheStats};
 use crate::config::SystemConfig;
-use pcm_types::{PcmError, PhysAddr};
+use pcm_types::{Cycles, PcmError, PhysAddr};
 
 /// Where an access was satisfied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,7 +29,7 @@ pub struct HierarchyOutcome {
     /// Deepest level consulted.
     pub level: HitLevel,
     /// Total lookup latency in CPU cycles (sum of levels consulted).
-    pub latency_cycles: u32,
+    pub latency_cycles: Cycles,
     /// Dirty lines pushed out of the L3 toward memory.
     pub memory_writebacks: Vec<PhysAddr>,
 }
@@ -39,9 +39,9 @@ pub struct CacheHierarchy {
     l1: Vec<Cache>,
     l2: Vec<Cache>,
     l3: Cache,
-    l1_lat: u32,
-    l2_lat: u32,
-    l3_lat: u32,
+    l1_lat: Cycles,
+    l2_lat: Cycles,
+    l3_lat: Cycles,
     line_bytes: u32,
 }
 
@@ -169,7 +169,7 @@ mod tests {
         let mut h = hier();
         let o = h.access(0, 0x10000, false);
         assert_eq!(o.level, HitLevel::Memory);
-        assert_eq!(o.latency_cycles, 2 + 20 + 50);
+        assert_eq!(o.latency_cycles, Cycles(2 + 20 + 50));
         assert!(o.memory_writebacks.is_empty());
     }
 
@@ -179,7 +179,7 @@ mod tests {
         h.access(0, 0x10000, false);
         let o = h.access(0, 0x10000, false);
         assert_eq!(o.level, HitLevel::L1);
-        assert_eq!(o.latency_cycles, 2);
+        assert_eq!(o.latency_cycles, Cycles(2));
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use cpu::{Core, RequestSource, TraceOp, VecTrace};
 pub use lane::Lane;
 pub use memory::{BatchOutcome, PcmMainMemory, WriteOutcome};
 pub use pcm_schemes::{SchemeConfig, SchemeSelect, WriteCtx, WriteScheme};
-pub use replacement::{ParsePolicyError, PolicySelect, ReplacementPolicy};
+pub use replacement::{PolicySelect, ReplacementPolicy};
 pub use request::{AccessKind, MemRequest};
 pub use sched::{SchedConfig, SchedPolicy, WindowPoll};
 pub use shard::{rank_seed, RankPlan, RankSplit, ShardedSystem};

@@ -25,7 +25,7 @@ pub use crate::config::{
 pub use crate::content::{ExplicitContent, UniformRandomContent, WriteContent};
 pub use crate::cpu::{RequestSource, TraceOp, VecTrace};
 pub use crate::memory::{BatchOutcome, PcmMainMemory, WriteOutcome};
-pub use crate::replacement::{ParsePolicyError, PolicySelect, ReplacementPolicy};
+pub use crate::replacement::{PolicySelect, ReplacementPolicy};
 pub use crate::request::{AccessKind, MemRequest};
 pub use crate::sched::SchedConfig;
 pub use crate::shard::{RankPlan, ShardedSystem};

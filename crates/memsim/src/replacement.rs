@@ -14,11 +14,10 @@
 //! behaviour the hierarchy had when LRU was hard-coded), Clock
 //! (second-chance, one reference bit per slot and a sweeping hand) and 2Q
 //! (a probationary FIFO for once-touched lines plus an LRU main queue for
-//! re-referenced ones) — registered in the [`PolicySelect`] registry,
-//! which follows the same four-surface contract as
-//! `pcm_schemes::SchemeSelect` (`ALL`, `tag()`, `Display`/`FromStr`,
-//! `instantiate()`); the `registry-parity-generic` lint keeps the surfaces
-//! in lockstep.
+//! re-referenced ones) — registered in the [`PolicySelect`] registry.
+//! Like `pcm_schemes::SchemeSelect`, it is declared with
+//! [`pcm_types::registry!`], which generates `ALL`, `tag()`, `Display` and
+//! `FromStr` from one table; `instantiate()` is an exhaustive `match`.
 //!
 //! [`touch`]: ReplacementPolicy::touch
 //! [`insert`]: ReplacementPolicy::insert
@@ -26,7 +25,6 @@
 //! [`victim`]: ReplacementPolicy::victim
 
 use std::fmt;
-use std::str::FromStr;
 
 /// The eviction decision for a set-associative slot grid.
 ///
@@ -272,32 +270,22 @@ impl ReplacementPolicy for TwoQPolicy {
     }
 }
 
-/// Which replacement policy a cache instantiates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum PolicySelect {
-    /// True-LRU — the hierarchy's historical (and default) behaviour.
-    #[default]
-    Lru,
-    /// Clock / second-chance.
-    Clock,
-    /// 2Q: probationary FIFO + main LRU queue.
-    TwoQ,
+pcm_types::registry! {
+    /// Which replacement policy a cache instantiates, by tag (CLI / JSON).
+    /// `ALL` lists every policy in presentation order.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
+    pub enum PolicySelect: "policy" {
+        /// True-LRU — the hierarchy's historical (and default) behaviour.
+        #[default]
+        Lru => "lru" | "least-recently-used",
+        /// Clock / second-chance.
+        Clock => "clock" | "second-chance",
+        /// 2Q: probationary FIFO + main LRU queue.
+        TwoQ => "2q" | "twoq" | "two-queue",
+    }
 }
 
 impl PolicySelect {
-    /// Every policy, in presentation order — the registry surface for
-    /// sweeps and registry-driven tests that must cover all of them.
-    pub const ALL: [PolicySelect; 3] = [PolicySelect::Lru, PolicySelect::Clock, PolicySelect::TwoQ];
-
-    /// Stable lowercase tag (CLI / JSON).
-    pub const fn tag(&self) -> &'static str {
-        match self {
-            PolicySelect::Lru => "lru",
-            PolicySelect::Clock => "clock",
-            PolicySelect::TwoQ => "2q",
-        }
-    }
-
     /// Construct the policy this tag selects, sized for `sets × assoc`
     /// slots. The single factory every cache goes through.
     pub fn instantiate(&self, sets: usize, assoc: usize) -> Box<dyn ReplacementPolicy> {
@@ -305,54 +293,6 @@ impl PolicySelect {
             PolicySelect::Lru => Box::new(LruPolicy::new(sets, assoc)),
             PolicySelect::Clock => Box::new(ClockPolicy::new(sets, assoc)),
             PolicySelect::TwoQ => Box::new(TwoQPolicy::new(sets, assoc)),
-        }
-    }
-}
-
-impl fmt::Display for PolicySelect {
-    /// Renders the stable [`PolicySelect::tag`]; round-trips through
-    /// [`FromStr`].
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.tag())
-    }
-}
-
-/// Error from parsing a [`PolicySelect`] tag that names no policy.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParsePolicyError {
-    /// The input that failed to parse.
-    pub input: String,
-}
-
-impl fmt::Display for ParsePolicyError {
-    /// The valid-tag list is derived from [`PolicySelect::ALL`] so it can
-    /// never drift as the registry grows.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown policy '{}' (expected one of ", self.input)?;
-        for (i, p) in PolicySelect::ALL.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            f.write_str(p.tag())?;
-        }
-        f.write_str(")")
-    }
-}
-
-impl std::error::Error for ParsePolicyError {}
-
-impl FromStr for PolicySelect {
-    type Err = ParsePolicyError;
-
-    /// Parse a policy tag, case-insensitively. The canonical tags from
-    /// [`PolicySelect::tag`] always parse (so `Display` → `FromStr`
-    /// round-trips); common literature spellings are accepted as aliases.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "lru" | "least-recently-used" => Ok(PolicySelect::Lru),
-            "clock" | "second-chance" => Ok(PolicySelect::Clock),
-            "2q" | "twoq" | "two-queue" => Ok(PolicySelect::TwoQ),
-            _ => Err(ParsePolicyError { input: s.into() }),
         }
     }
 }
@@ -464,7 +404,7 @@ mod tests {
     pcm_types::propcheck! {
         /// Display → FromStr is the identity over the whole registry,
         /// in any ASCII case.
-        fn display_fromstr_roundtrip(i in 0usize..3, upper in pcm_types::propcheck::any_bool()) {
+        fn display_fromstr_roundtrip(i in 0usize..PolicySelect::ALL.len(), upper in pcm_types::propcheck::any_bool()) {
             let policy = PolicySelect::ALL[i];
             let mut tag = policy.to_string();
             pcm_types::prop_assert_eq!(tag.as_str(), policy.tag());

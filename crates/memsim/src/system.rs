@@ -435,7 +435,7 @@ impl System {
                     self.cores[core].pending = None;
                     self.cores[core].instructions += 1;
                     self.backlog[core].extend(out.memory_writebacks);
-                    let resume = self.now + self.cycle() * out.latency_cycles as u64;
+                    let resume = self.now + self.cycle() * out.latency_cycles.0;
                     self.cores[core].finish_time = resume;
                     if out.level == HitLevel::Memory {
                         // Write-allocate: both loads and stores fetch the
@@ -585,7 +585,7 @@ impl System {
             cycles: self
                 .cores
                 .iter()
-                .map(|c| c.cycles(self.cfg.cpu_freq_mhz))
+                .map(|c| c.cycles(self.cfg.cpu_freq_mhz).0)
                 .collect(),
             read_latency: self.read_lat.clone(),
             write_latency: self.write_lat.clone(),

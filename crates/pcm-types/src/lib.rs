@@ -4,7 +4,9 @@
 //! Tetris Write stack:
 //!
 //! * [`time`] — picosecond-resolution simulation time ([`Ps`]) so that event
-//!   ordering is exact (no floating-point timestamps in the simulator).
+//!   ordering is exact (no floating-point timestamps in the simulator), and
+//!   clock-cycle counts ([`Cycles`]) that only become time through a named
+//!   clock.
 //! * [`timing`] — PCM pulse timings ([`PcmTimings`], Table II of the paper:
 //!   READ 50 ns, RESET 53 ns, SET 430 ns) and the derived time-asymmetry
 //!   ratio `K`.
@@ -37,6 +39,9 @@
 //! * [`stats`] — nearest-rank percentile machinery ([`Percentiles`])
 //!   shared by telemetry summaries, the adaptive scheduler, and the
 //!   `pcm-serve` SLO report.
+//! * [`mod@registry`] — the [`registry!`] macro that declares a
+//!   string-tagged enum (`ALL`, `tag()`, `Display`, `FromStr`) from one
+//!   table, so its surfaces cannot drift apart.
 //! * [`pool`] — a scoped work-stealing thread pool (the `rayon`
 //!   replacement) with deterministic, input-ordered results, used by the
 //!   experiment matrix, the rank shards and the lint scanner.
@@ -62,6 +67,7 @@ pub mod perf;
 pub mod pool;
 pub mod power;
 pub mod propcheck;
+pub mod registry;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -85,6 +91,7 @@ pub use perf::{
     BenchRecord, BenchSnapshot, BenchThroughput, GatePolicy, SnapshotMeta, ThroughputUnit,
 };
 pub use power::PowerParams;
+pub use registry::ParseTagError;
 pub use stats::Percentiles;
-pub use time::Ps;
+pub use time::{Cycles, Ps};
 pub use timing::PcmTimings;

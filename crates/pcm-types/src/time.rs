@@ -1,10 +1,15 @@
-//! Picosecond-resolution simulation time.
+//! Picosecond-resolution simulation time, and clock-cycle counts.
 //!
 //! The simulator orders events by timestamp, so timestamps must be exact.
 //! All PCM timings in the paper are integral nanoseconds (READ 50 ns,
 //! RESET 53 ns, SET 430 ns) and clocks are 2 GHz / 400 MHz, so picoseconds
 //! as `u64` represent every quantity exactly while still covering ~213 days
 //! of simulated time.
+//!
+//! The paper's second clock is the cycle: cache latencies are CPU cycles
+//! and the analysis stage is 41 cycles at the 400 MHz bus (§IV-D).
+//! [`Cycles`] is its own type, so a cycle count can only become a [`Ps`]
+//! through [`Ps::from_cycles`], which names the clock.
 
 use std::fmt;
 use std::iter::Sum;
@@ -20,7 +25,8 @@ use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 /// let t_set = Ps::from_ns(430);
 /// let t_reset = Ps::from_ns(53);
 /// assert_eq!(t_set.div_duration(t_reset), 8); // the paper's K
-/// assert_eq!(Ps::from_cycles(41, 400), Ps(102_500)); // 41 cycles @ 400 MHz
+/// use pcm_types::Cycles;
+/// assert_eq!(Ps::from_cycles(Cycles(41), 400), Ps(102_500)); // 41 cycles @ 400 MHz
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ps(pub u64);
@@ -43,8 +49,15 @@ impl Ps {
     ///
     /// Panics if the frequency does not divide 1 ps exactly enough to
     /// matter; in practice 2000 MHz → 500 ps and 400 MHz → 2500 ps are exact.
-    pub const fn from_cycles(cycles: u64, freq_mhz: u64) -> Self {
-        Ps(cycles * 1_000_000 / freq_mhz)
+    ///
+    /// Only a [`Cycles`] converts; a bare integer does not compile:
+    ///
+    /// ```compile_fail,E0308
+    /// use pcm_types::Ps;
+    /// let _ = Ps::from_cycles(41u64, 400);
+    /// ```
+    pub const fn from_cycles(cycles: Cycles, freq_mhz: u64) -> Self {
+        Ps(cycles.0 * 1_000_000 / freq_mhz)
     }
 
     /// Value in picoseconds.
@@ -63,8 +76,8 @@ impl Ps {
     }
 
     /// Number of whole clock cycles this duration spans at `freq_mhz`.
-    pub const fn cycles_at(self, freq_mhz: u64) -> u64 {
-        self.0 * freq_mhz / 1_000_000
+    pub const fn cycles_at(self, freq_mhz: u64) -> Cycles {
+        Cycles(self.0 * freq_mhz / 1_000_000)
     }
 
     /// Saturating subtraction; clamps at zero instead of wrapping.
@@ -162,6 +175,35 @@ impl fmt::Display for Ps {
     }
 }
 
+/// A count of clock cycles (CPU or memory-bus, whichever clock the
+/// owner names).
+///
+/// It has no conversion to or from [`Ps`] except [`Ps::from_cycles`] and
+/// [`Ps::cycles_at`], which take the clock frequency. Passing a cycle
+/// count where a duration is expected does not compile:
+///
+/// ```compile_fail,E0308
+/// use pcm_types::{Cycles, Ps};
+/// fn wait(d: Ps) -> Ps { d }
+/// let _ = wait(Cycles(41));
+/// ```
+///
+/// It prints as the plain integer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cycles(pub u64);
+
+impl AddAssign for Cycles {
+    fn add_assign(&mut self, rhs: Cycles) {
+        self.0 += rhs.0;
+    }
+}
+
+impl fmt::Display for Cycles {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.0, f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,16 +217,16 @@ mod tests {
     #[test]
     fn cycles_exact_for_paper_clocks() {
         // 2 GHz CPU: 1 cycle = 500 ps.
-        assert_eq!(Ps::from_cycles(1, 2_000).as_ps(), 500);
+        assert_eq!(Ps::from_cycles(Cycles(1), 2_000).as_ps(), 500);
         // 400 MHz memory bus: 1 cycle = 2.5 ns.
-        assert_eq!(Ps::from_cycles(1, 400).as_ps(), 2_500);
+        assert_eq!(Ps::from_cycles(Cycles(1), 400).as_ps(), 2_500);
         // The paper's measured analysis overhead: 41 cycles @ 400 MHz.
-        assert_eq!(Ps::from_cycles(41, 400).as_ps(), 102_500);
+        assert_eq!(Ps::from_cycles(Cycles(41), 400).as_ps(), 102_500);
     }
 
     #[test]
     fn cycles_at_inverts_from_cycles() {
-        for c in [0u64, 1, 7, 41, 1000] {
+        for c in [0u64, 1, 7, 41, 1000].map(Cycles) {
             assert_eq!(Ps::from_cycles(c, 400).cycles_at(400), c);
             assert_eq!(Ps::from_cycles(c, 2_000).cycles_at(2_000), c);
         }
@@ -206,6 +248,7 @@ mod tests {
     fn display() {
         assert_eq!(Ps::from_ns(50).to_string(), "50ns");
         assert_eq!(Ps(2_500).to_string(), "2.500ns");
+        assert_eq!(Cycles(41).to_string(), "41");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use conventional::ConventionalWrite;
 pub use dcw::DcwWrite;
 pub use fnw::FlipNWrite;
 pub use palp::PalpWrite;
-pub use preset::{register_tetris_factory, ParseSchemeError, PreSetWrite, SchemeSelect};
+pub use preset::{register_tetris_factory, PreSetWrite, SchemeSelect};
 pub use three_stage::ThreeStageWrite;
 pub use traits::{BatchPlan, PackStats, SchemeConfig, WriteCtx, WritePlan, WriteScheme};
 pub use two_stage::TwoStageWrite;

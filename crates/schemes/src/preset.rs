@@ -21,68 +21,40 @@
 //! hand-matching enums.
 
 use crate::traits::{SchemeConfig, WriteCtx, WritePlan, WriteScheme};
-use std::fmt;
-use std::str::FromStr;
 use std::sync::OnceLock;
 
-/// Which write scheme a [`SchemeConfig`] instantiates.
-///
-/// `Tetris` lives in the downstream `tetris-write` crate (it depends on
-/// this one), so its constructor is injected via
-/// [`register_tetris_factory`] rather than named here.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum SchemeSelect {
-    /// Every bit programmed, strictly serial write units (Eq. 1).
-    Conventional,
-    /// Data-comparison write — the paper's baseline.
-    #[default]
-    Dcw,
-    /// Flip-N-Write: read + inversion bounds changed bits (Eq. 2).
-    Fnw,
-    /// RESET stage + asymmetry-sized SET stage (Eq. 3).
-    TwoStage,
-    /// 2-Stage + Flip-N-Write's read/flip (Eq. 4).
-    ThreeStage,
-    /// Background full-SET sweeps, RESET-only write-backs (ref. \[23\]).
-    PreSet,
-    /// The paper's contribution (constructed by the registered factory).
-    Tetris,
-    /// Partition-level parallelism inside one bank (PALP, Song et al.).
-    Palp,
-    /// Restricted coset coding (WIRE, Seyedzadeh et al.).
-    Wire,
+pcm_types::registry! {
+    /// Which write scheme a [`SchemeConfig`] instantiates, by tag (CLI /
+    /// JSON). `ALL` lists every scheme in the paper's presentation order.
+    ///
+    /// `Tetris` lives in the downstream `tetris-write` crate (it depends on
+    /// this one), so its constructor is injected via
+    /// [`register_tetris_factory`] rather than named here.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
+    pub enum SchemeSelect: "scheme" {
+        /// Every bit programmed, strictly serial write units (Eq. 1).
+        Conventional => "conventional" | "conv",
+        /// Data-comparison write — the paper's baseline.
+        #[default]
+        Dcw => "dcw" | "baseline",
+        /// Flip-N-Write: read + inversion bounds changed bits (Eq. 2).
+        Fnw => "fnw" | "flip-n-write",
+        /// RESET stage + asymmetry-sized SET stage (Eq. 3).
+        TwoStage => "2stage" | "2sw" | "two-stage" | "2-stage-write",
+        /// 2-Stage + Flip-N-Write's read/flip (Eq. 4).
+        ThreeStage => "3stage" | "3sw" | "three-stage" | "three-stage-write",
+        /// Background full-SET sweeps, RESET-only write-backs (ref. \[23\]).
+        PreSet => "preset",
+        /// The paper's contribution (constructed by the registered factory).
+        Tetris => "tetris" | "tetris-write",
+        /// Partition-level parallelism inside one bank (PALP, Song et al.).
+        Palp => "palp" | "partition-parallel",
+        /// Restricted coset coding (WIRE, Seyedzadeh et al.).
+        Wire => "wire" | "coset",
+    }
 }
 
 impl SchemeSelect {
-    /// Every scheme, in the paper's presentation order — the registry
-    /// surface for tests and sweeps that must cover all of them.
-    pub const ALL: [SchemeSelect; 9] = [
-        SchemeSelect::Conventional,
-        SchemeSelect::Dcw,
-        SchemeSelect::Fnw,
-        SchemeSelect::TwoStage,
-        SchemeSelect::ThreeStage,
-        SchemeSelect::PreSet,
-        SchemeSelect::Tetris,
-        SchemeSelect::Palp,
-        SchemeSelect::Wire,
-    ];
-
-    /// Stable lowercase tag (CLI / JSON).
-    pub const fn tag(&self) -> &'static str {
-        match self {
-            SchemeSelect::Conventional => "conventional",
-            SchemeSelect::Dcw => "dcw",
-            SchemeSelect::Fnw => "fnw",
-            SchemeSelect::TwoStage => "2stage",
-            SchemeSelect::ThreeStage => "3stage",
-            SchemeSelect::PreSet => "preset",
-            SchemeSelect::Tetris => "tetris",
-            SchemeSelect::Palp => "palp",
-            SchemeSelect::Wire => "wire",
-        }
-    }
-
     /// The five schemes of Figs. 10–14 (baseline first).
     pub const COMPARED: [SchemeSelect; 5] = [
         SchemeSelect::Dcw,
@@ -119,61 +91,6 @@ impl SchemeSelect {
             SchemeSelect::Tetris => "Tetris",
             SchemeSelect::Palp => "PALP",
             SchemeSelect::Wire => "WIRE",
-        }
-    }
-}
-
-impl fmt::Display for SchemeSelect {
-    /// Renders the stable [`SchemeSelect::tag`]; round-trips through
-    /// [`FromStr`].
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.tag())
-    }
-}
-
-/// Error from parsing a [`SchemeSelect`] tag that names no scheme.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseSchemeError {
-    /// The input that failed to parse.
-    pub input: String,
-}
-
-impl fmt::Display for ParseSchemeError {
-    /// The valid-tag list is derived from [`SchemeSelect::ALL`] so it can
-    /// never drift as the registry grows.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown scheme '{}' (expected one of ", self.input)?;
-        for (i, s) in SchemeSelect::ALL.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            f.write_str(s.tag())?;
-        }
-        f.write_str(")")
-    }
-}
-
-impl std::error::Error for ParseSchemeError {}
-
-impl FromStr for SchemeSelect {
-    type Err = ParseSchemeError;
-
-    /// Parse a scheme tag, case-insensitively. The canonical tags from
-    /// [`SchemeSelect::tag`] always parse (so `Display` → `FromStr`
-    /// round-trips); the common CLI spellings and paper names are
-    /// accepted as aliases.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "conventional" | "conv" => Ok(SchemeSelect::Conventional),
-            "dcw" | "baseline" => Ok(SchemeSelect::Dcw),
-            "fnw" | "flip-n-write" => Ok(SchemeSelect::Fnw),
-            "2stage" | "2sw" | "two-stage" | "2-stage-write" => Ok(SchemeSelect::TwoStage),
-            "3stage" | "3sw" | "three-stage" | "three-stage-write" => Ok(SchemeSelect::ThreeStage),
-            "preset" => Ok(SchemeSelect::PreSet),
-            "tetris" | "tetris-write" => Ok(SchemeSelect::Tetris),
-            "palp" | "partition-parallel" => Ok(SchemeSelect::Palp),
-            "wire" | "coset" => Ok(SchemeSelect::Wire),
-            _ => Err(ParseSchemeError { input: s.into() }),
         }
     }
 }
@@ -405,7 +322,7 @@ mod tests {
     pcm_types::propcheck! {
         /// Display → FromStr is the identity over the whole registry,
         /// in any ASCII case.
-        fn display_fromstr_roundtrip(i in 0usize..9, upper in pcm_types::propcheck::any_bool()) {
+        fn display_fromstr_roundtrip(i in 0usize..SchemeSelect::ALL.len(), upper in pcm_types::propcheck::any_bool()) {
             let scheme = SchemeSelect::ALL[i];
             let mut tag = scheme.to_string();
             pcm_types::prop_assert_eq!(tag.as_str(), scheme.tag());

@@ -193,7 +193,7 @@ impl<R: BufRead + Send> RequestSource for LineSource<R> {
                 Ok(Some(r)) => {
                     let gap_ns = r.at_ns.saturating_sub(self.last_ns);
                     self.last_ns = self.last_ns.max(r.at_ns);
-                    let gap = Ps::from_ns(gap_ns).cycles_at(self.freq_mhz);
+                    let gap = Ps::from_ns(gap_ns).cycles_at(self.freq_mhz).0;
                     return Some(TraceOp {
                         gap: gap.min(u32::MAX as u64) as u32,
                         kind: r.kind,
