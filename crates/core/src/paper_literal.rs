@@ -16,7 +16,7 @@
 //! all `K`, and a placement charges every sub-slot up to and including the
 //! chosen unit. The second quirk makes packing strictly pessimistic, which
 //! is why the corrected first-fit-decreasing in [`crate::analysis`] never
-//! does worse — the ablation bench quantifies the gap.
+//! does worse — `tetris-experiments ablation` quantifies the gap.
 
 use crate::config::TetrisConfig;
 use pcm_types::{LineDemand, PcmError};

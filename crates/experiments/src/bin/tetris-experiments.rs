@@ -18,8 +18,6 @@
 //!                    [--ranks R] [--trace-dir DIR] [--csv DIR] [--assert]
 //! tetris-experiments cache-sweep [--quick] [--workload W]... [--frames LIST]
 //!                    [--policy TAG]... [--instructions N] [--trace-dir DIR] [--csv DIR]
-//! tetris-experiments bench-compare BASE.json FRESH.json [--tolerance PCT] [--k N]
-//!                    [--md OUT.md] [--json OUT.json]
 //! ```
 //!
 //! `run` simulates one (workload, scheme) cell and prints a one-line
@@ -36,10 +34,7 @@
 //! `sched-ablation` runs the same workload under the fixed and the
 //! adaptive controller scheduling policy and prints the delta table;
 //! `--assert` exits nonzero if the adaptive policy regresses (the CI
-//! `sched-regression` job runs exactly this). `bench-compare` diffs two
-//! `BENCH_<n>.json` perf snapshots (produced by `pcm-bench snapshot`) and
-//! exits nonzero when a bench regresses beyond `max(tolerance%, k·MAD)`
-//! or goes missing.
+//! `sched-regression` job runs exactly this).
 
 use pcm_memsim::SystemConfig;
 /// Print to stdout, exiting quietly if the consumer closed the pipe
@@ -644,97 +639,6 @@ fn cmd_sched_ablation(args: &[String]) {
     }
 }
 
-/// `bench-compare BASE.json FRESH.json`: diff two perf snapshots and gate.
-fn cmd_bench_compare(args: &[String]) {
-    use pcm_types::perf::{BenchSnapshot, GatePolicy};
-    use pcm_types::JsonCodec;
-
-    let mut paths: Vec<&String> = Vec::new();
-    let mut policy = GatePolicy::default();
-    let mut md_out: Option<String> = None;
-    let mut json_out: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                i += 1;
-                policy.tolerance_pct = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                    .unwrap_or_else(|| usage_error("--tolerance needs a percentage"));
-            }
-            "--k" => {
-                i += 1;
-                policy.k_mad = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|k: &f64| k.is_finite() && *k >= 0.0)
-                    .unwrap_or_else(|| usage_error("--k needs a multiplier"));
-            }
-            "--md" => {
-                i += 1;
-                md_out = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--md needs a path"))
-                        .clone(),
-                );
-            }
-            "--json" => {
-                i += 1;
-                json_out = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--json needs a path"))
-                        .clone(),
-                );
-            }
-            flag if flag.starts_with('-') => {
-                usage_error(&format!("unknown bench-compare flag `{flag}`"))
-            }
-            _ => paths.push(&args[i]),
-        }
-        i += 1;
-    }
-    let [base_path, fresh_path] = paths[..] else {
-        usage_error("bench-compare needs BASE.json and FRESH.json");
-    };
-    let load = |path: &str| -> BenchSnapshot {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read snapshot {path}: {e}");
-            std::process::exit(1);
-        });
-        let snap = BenchSnapshot::from_json_str(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse snapshot {path}: {e}");
-            std::process::exit(1);
-        });
-        if let Err(e) = snap.validate() {
-            eprintln!("invalid snapshot {path}: {e}");
-            std::process::exit(1);
-        }
-        snap
-    };
-    let base = load(base_path);
-    let fresh = load(fresh_path);
-    let report = tetris_experiments::compare(&base, &fresh, policy);
-    outln!("{}", report.markdown());
-    if let Some(path) = md_out {
-        std::fs::write(&path, report.markdown()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-    }
-    if let Some(path) = json_out {
-        let text = report.to_json().to_string_pretty() + "\n";
-        std::fs::write(&path, text).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-    }
-    if report.has_failures() {
-        std::process::exit(1);
-    }
-}
-
 /// The run configuration the `--quick`, `--instructions` and `--ranks`
 /// flags select (`--instructions` overrides `--quick`), validated: an invalid
 /// combination is a usage error.
@@ -813,10 +717,6 @@ fn main() {
         }
         Some("cache-sweep") => {
             cmd_cache_sweep(&args);
-            return;
-        }
-        Some("bench-compare") => {
-            cmd_bench_compare(&args);
             return;
         }
         _ => {}

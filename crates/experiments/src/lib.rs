@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod bench_compare;
 pub mod cache_sweep;
 pub mod figures;
 pub mod paper;
@@ -35,7 +34,6 @@ pub mod report;
 pub mod runner;
 pub mod sched_ablation;
 
-pub use bench_compare::{compare, BenchDelta, CompareReport, DeltaStatus};
 pub use cache_sweep::{cache_sweep_table, run_cache_sweep, CacheCell};
 pub use pcm_memsim::{SimResult, SystemConfig};
 pub use pcm_schemes::SchemeSelect;

@@ -57,7 +57,7 @@ pub struct RunOptions {
 }
 
 /// In-memory result of the scan phase (lex + per-file rules + workspace
-/// rules), before waivers. This is the unit the benches time.
+/// rules), before waivers.
 pub struct ScanOutcome {
     /// All raw findings, unsorted and unwaived.
     pub diags: Vec<Diagnostic>,

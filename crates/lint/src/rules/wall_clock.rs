@@ -5,9 +5,10 @@
 //! on host speed and destroys the bit-for-bit reproducibility the paper
 //! comparison rests on (Eq. 5 service times, 1-rank shard equivalence,
 //! thread-count independence). `Instant`/`SystemTime` are legitimate only
-//! for *reporting* how long the simulation took — the runner's throughput
-//! display and the bench harness — which is why those two files carry
-//! justified waivers rather than exemptions baked into the rule.
+//! in tests and for *reporting* how long the simulation took; a reporting
+//! read carries a justified waiver rather than an exemption baked into the
+//! rule. Host-time measurement lives in `perfbench/`, outside the
+//! workspace.
 
 use super::{FileRule, SigView};
 use crate::diag::Diagnostic;
@@ -22,7 +23,7 @@ impl FileRule for NoWallClock {
     }
 
     fn describe(&self) -> &'static str {
-        "Instant/SystemTime reads are forbidden outside the runner's timing display and bench"
+        "Instant/SystemTime reads are forbidden outside tests and waived timing displays"
     }
 
     fn check_file(&self, file: &SourceFile) -> Vec<Diagnostic> {

@@ -21,8 +21,8 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 
 /// Library crates where panics are API: `unwrap()`/`expect()` outside
 /// `#[cfg(test)]` must be replaced by typed errors or carry a waiver with a
-/// written justification. (Binaries — `experiments`, `bench`, `lint` — may
-/// exit on startup errors.)
+/// written justification. (Binaries — `experiments`, `lint` — may exit on
+/// startup errors.)
 pub const LIBRARY_CRATES: &[&str] = DETERMINISTIC_CRATES;
 
 /// One lexed source file plus everything rules need to reason about it.

@@ -63,7 +63,6 @@ pub mod error;
 pub mod flip;
 pub mod json;
 pub mod org;
-pub mod perf;
 pub mod pool;
 pub mod power;
 pub mod propcheck;
@@ -87,9 +86,6 @@ pub use error::PcmError;
 pub use flip::{flip_decode, flip_encode, flip_units, FlipBitWrite, FlipDecision, FlippedLine};
 pub use json::{Json, JsonCodec, JsonError};
 pub use org::MemOrg;
-pub use perf::{
-    BenchRecord, BenchSnapshot, BenchThroughput, GatePolicy, SnapshotMeta, ThroughputUnit,
-};
 pub use power::PowerParams;
 pub use registry::ParseTagError;
 pub use stats::Percentiles;

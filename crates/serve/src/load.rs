@@ -200,12 +200,16 @@ impl ClosedLoop {
     /// engine's idle-drain (see [`ServeEngine::step`]) guarantees parked
     /// writes eventually clear, so retries terminate.
     pub fn run(mut self, engine: &mut ServeEngine) -> Result<ClosedLoopStats, PcmError> {
-        let users = self.cfg.users.max(1);
+        let users = self.cfg.users;
         let tenants = self.cfg.tenants.max(1);
         let think = Ps::from_ns(self.cfg.think_ns);
         let ws = self.cfg.working_set_lines.max(1);
-        let mut ready: BTreeSet<(Ps, u32)> = (0..users).map(|u| (Ps::ZERO, u)).collect();
         let mut remaining = vec![self.cfg.requests_per_user; users as usize];
+        // Only users with requests left ever wait on the engine.
+        let mut ready: BTreeSet<(Ps, u32)> = (0..users)
+            .filter(|&u| remaining[u as usize] > 0)
+            .map(|u| (Ps::ZERO, u))
+            .collect();
         let mut waiting: BTreeMap<u64, u32> = BTreeMap::new();
         let mut stats = ClosedLoopStats::default();
         while !ready.is_empty() || !waiting.is_empty() {
@@ -340,6 +344,20 @@ mod tests {
         let stats = ClosedLoop::new(load).run(&mut engine).unwrap();
         assert_eq!(stats.completed, 4 * 32);
         assert!(engine.now() > Ps::ZERO);
+    }
+
+    #[test]
+    fn closed_loop_without_requests_completes_nothing() {
+        for (users, requests_per_user) in [(4, 0), (0, 64)] {
+            let mut engine = ServeEngine::new(ranks_cfg(1), Box::new(NullSink)).unwrap();
+            let load = ClosedLoopConfig {
+                users,
+                requests_per_user,
+                ..ClosedLoopConfig::default()
+            };
+            let stats = ClosedLoop::new(load).run(&mut engine).unwrap();
+            assert_eq!(stats.completed, 0, "users={users} rpu={requests_per_user}");
+        }
     }
 
     /// A clonable sink whose event log outlives the engine that owns it.

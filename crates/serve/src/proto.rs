@@ -5,7 +5,7 @@
 //! ```text
 //! request   := "req" SP id SP tenant SP kind SP addr SP at-ns
 //! kind      := "r" | "w"
-//! id, tenant, addr, at-ns := decimal u64 / u32
+//! id, tenant, addr, at-ns := decimal u64 / u32 (at-ns ≤ u64::MAX / 1000)
 //!
 //! response  := "ack" SP id                 ; admitted, completion follows
 //!            | "ok"  SP id SP latency-ps   ; served (latency simulated)
@@ -59,6 +59,9 @@ fn bad(msg: impl Into<String>) -> ProtoError {
     ProtoError { msg: msg.into() }
 }
 
+/// The largest `at-ns` whose picosecond time still fits a `u64`.
+const MAX_AT_NS: u64 = u64::MAX / 1_000;
+
 /// Parse one request line. Empty lines and `#` comments return `None`.
 pub fn parse_request(line: &str) -> Result<Option<WireRequest>, ProtoError> {
     let line = line.trim();
@@ -93,6 +96,9 @@ pub fn parse_request(line: &str) -> Result<Option<WireRequest>, ProtoError> {
     let at_ns = field("at-ns")?
         .parse::<u64>()
         .map_err(|_| bad("at-ns must be a decimal u64"))?;
+    if at_ns > MAX_AT_NS {
+        return Err(bad(format!("at-ns must be at most {MAX_AT_NS}")));
+    }
     if parts.next().is_some() {
         return Err(bad("trailing fields after at-ns"));
     }
@@ -242,6 +248,9 @@ mod tests {
         assert!(parse_request("req 1 0 r 64 0 extra").is_err());
         assert!(parse_request("get 1 0 r 64 0").is_err());
         assert!(parse_request("req -1 0 r 64 0").is_err());
+        assert!(parse_request("req 1 0 r 0 18446744073709551615").is_err());
+        assert!(parse_request(&format!("req 1 0 r 0 {}", MAX_AT_NS + 1)).is_err());
+        assert!(parse_request(&format!("req 1 0 r 0 {MAX_AT_NS}")).is_ok());
     }
 
     #[test]

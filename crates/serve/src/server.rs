@@ -138,6 +138,24 @@ mod tests {
     }
 
     #[test]
+    fn over_range_arrival_gets_err_and_the_stream_goes_on() {
+        let input = "req 1 0 r 0 18446744073709551615\nreq 2 0 r 64 10\n";
+        let mut out = Vec::new();
+        let (served, _) =
+            serve_connection(&mut engine(usize::MAX), input.as_bytes(), &mut out).unwrap();
+        assert_eq!(served, 1);
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(
+            lines[0].starts_with("err ") && lines[0].contains("at-ns"),
+            "{text}"
+        );
+        assert_eq!(lines[1], "ack 2");
+        assert!(lines.iter().any(|l| l.starts_with("ok 2 ")), "{text}");
+        assert!(!lines.iter().any(|l| l.starts_with("ok 1 ")), "{text}");
+    }
+
+    #[test]
     fn saturating_stream_sheds_on_the_wire() {
         // Same-instant writes to one bank with a tiny watermark.
         let mut input = String::new();
